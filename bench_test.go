@@ -328,42 +328,29 @@ func BenchmarkAblationWidthScaling(b *testing.B) {
 }
 
 // BenchmarkVerifyCorpusIncremental measures the full aarch64 corpus
-// sweep under the reference fresh-solver-per-query pipeline vs the
-// incremental per-rule session pipeline (ISSUE 2's tentpole). The
-// timeout matches the -bench-json artifact's cold-run setting so the two
-// are comparable; the hard mul/div instances hit the ceiling in both
-// pipelines, and the speedup comes from everything else.
+// sweep, each verification unit solving its queries on one session of
+// its own. The one-second timeout matches crocus-bench's default
+// backstop; the hard mul/div instances hit that ceiling.
 func BenchmarkVerifyCorpusIncremental(b *testing.B) {
 	prog, err := corpus.LoadAarch64()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, fresh := range []bool{true, false} {
-		name := "incremental"
-		if fresh {
-			name = "fresh"
+	v := core.New(prog, core.Options{Timeout: time.Second})
+	var queries int64
+	for i := 0; i < b.N; i++ {
+		rs, err := v.VerifyAll()
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			v := core.New(prog, core.Options{
-				Timeout:      time.Second,
-				FreshSolvers: fresh,
-			})
-			var queries int64
-			for i := 0; i < b.N; i++ {
-				rs, err := v.VerifyAll()
-				if err != nil {
-					b.Fatal(err)
-				}
-				queries = 0
-				for _, rr := range rs {
-					for _, io := range rr.Insts {
-						queries += io.Stats.Queries
-					}
-				}
+		queries = 0
+		for _, rr := range rs {
+			for _, io := range rr.Insts {
+				queries += io.Stats.Queries
 			}
-			b.ReportMetric(float64(queries), "queries/op")
-		})
+		}
 	}
+	b.ReportMetric(float64(queries), "queries/op")
 }
 
 // BenchmarkAblationDistinctCheck measures the overhead of the optional

@@ -21,8 +21,8 @@
 // push borderline units into deterministic timeouts, which trips the
 // timeout-delta threshold regardless of machine speed.
 //
-// Exit status: 0 pass, 1 error, 2 verdict mismatch between pipelines,
-// 3 regression against the baseline.
+// Exit status: 0 pass, 1 error, 2 verdict mismatch between the cold and
+// warm sweeps, 3 regression against the baseline.
 package main
 
 import (
@@ -115,11 +115,10 @@ func main() {
 	// (timeouts, wall time) are what must catch it.
 	report.Budget = *budget
 
-	fmt.Printf("bench: %s budget=%d fresh %.2fs, incremental cold %.2fs (%.2fx), warm cache %.2fs (%.2fx), timeouts %d/%d/%d, verdicts match: %v\n",
+	fmt.Printf("bench: %s budget=%d cold %.2fs, warm cache %.2fs, timeouts %d/%d, verdicts match: %v\n",
 		*corpusName, effBudget,
-		report.Fresh.WallSeconds, report.IncrementalCold.WallSeconds, report.SpeedupColdVsFresh,
-		report.IncrementalWarm.WallSeconds, report.SpeedupWarmVsFresh,
-		report.Fresh.Outcomes["timeout"], report.IncrementalCold.Outcomes["timeout"], report.IncrementalWarm.Outcomes["timeout"],
+		report.IncrementalCold.WallSeconds, report.IncrementalWarm.WallSeconds,
+		report.IncrementalCold.Outcomes["timeout"], report.IncrementalWarm.Outcomes["timeout"],
 		report.VerdictsMatch)
 
 	if *out != "" {
@@ -140,7 +139,7 @@ func main() {
 	}
 
 	if !report.VerdictsMatch {
-		fmt.Fprintln(os.Stderr, "crocus-bench: pipelines disagree on verdicts")
+		fmt.Fprintln(os.Stderr, "crocus-bench: cold and warm sweeps disagree on verdicts")
 		os.Exit(2)
 	}
 

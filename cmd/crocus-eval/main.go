@@ -62,10 +62,7 @@ func main() {
 	distinct := flag.Bool("distinct", false, "run the distinct-models check during table1")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent verification workers during table1 (1 = sequential, <= 0 = all CPUs)")
 	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
-	fresh := flag.Bool("fresh", false, "use a fresh solver per query instead of one incremental session per rule (reference pipeline)")
 	budget := flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
-	noInprocess := flag.Bool("no-inprocess", false, "disable CDCL inprocessing (verdict-preserving A/B knob)")
-	noStructHash := flag.Bool("no-structhash", false, "disable structural hashing in the bit-blaster (verdict-preserving A/B knob)")
 	retryBudgets := flag.String("retry-budgets", "", "timeout-escalation ladder: comma-separated propagation budgets to retry timed-out units at (ascending; 0 = unlimited final rung)")
 	traceDir := flag.String("trace-dir", "", "write one Chrome trace-event JSON artifact per experiment (TRACE_<exp>.json) under this directory")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
@@ -105,11 +102,8 @@ func main() {
 		Distinct:          *distinct,
 		Parallelism:       *parallel,
 		CacheDir:          *cacheDir,
-		FreshSolvers:      *fresh,
 		PropagationBudget: *budget,
 		RetryBudgets:      ladder,
-		NoInprocess:       *noInprocess,
-		NoStructHash:      *noStructHash,
 	}
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "crocus-eval:", err)
@@ -125,8 +119,8 @@ func main() {
 			fail(fmt.Errorf("-journal requires -cache-dir"))
 		}
 		sweepID := vcache.Fingerprint("crocus-eval-sweep-1", []string{
-			fmt.Sprintf("timeout=%s distinct=%t fresh=%t budget=%d ladder=%v noip=%t nosh=%t",
-				*timeout, *distinct, *fresh, *budget, ladder, *noInprocess, *noStructHash),
+			fmt.Sprintf("timeout=%s distinct=%t budget=%d ladder=%v",
+				*timeout, *distinct, *budget, ladder),
 		})
 		j, jerr := vcache.OpenJournal(*cacheDir, sweepID)
 		if jerr != nil {

@@ -157,7 +157,7 @@ func printRuleDisplay(d ruleDisplay, stats bool, exit *int) {
 		}
 	}
 	if d.RetriedFresh {
-		fmt.Printf("  note: incremental pipeline faulted; result from fresh-solver retry\n")
+		fmt.Printf("  note: first attempt faulted; result from the retry on a new session\n")
 	}
 }
 
@@ -170,7 +170,6 @@ type clientConfig struct {
 	timeout    time.Duration
 	distinct   bool
 	custom     bool
-	fresh      bool
 	stats      bool
 	budget     int64
 	ladder     []int64
@@ -225,7 +224,6 @@ func runClient(cfg clientConfig) int {
 		TimeoutMS:         cfg.timeout.Milliseconds(),
 		Distinct:          cfg.distinct,
 		CustomVC:          cfg.custom,
-		Fresh:             cfg.fresh,
 		PropagationBudget: cfg.budget,
 		RetryBudgets:      cfg.ladder,
 	}

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	crocus [-timeout 5s] [-rule name] [-distinct] [-parallel N] [-stats]
-//	       [-cache-dir DIR] [-fresh] [-bench-json FILE]
+//	       [-cache-dir DIR]
 //	       [-shard i/n] [-cache-merge DIR,DIR...]
 //	       [-journal] [-faults SPEC]
 //	       [-server URL] [-server-timeout D] [-server-retries N] [-hedge-after D]
@@ -19,13 +19,12 @@
 // the directory keyed by a content fingerprint of each query, so an
 // unchanged rule is replayed instead of re-solved on the next run.
 //
-// By default each rule's instantiations share one incremental SMT
-// session (word-level simplification, retained learned clauses,
-// assumption-guarded queries); -fresh reverts to a fresh solver per
-// query, which is the reference pipeline for A/B comparison.
-// -bench-json sweeps the corpus under both pipelines plus a warm-cache
-// replay, checks the verdicts agree, and writes wall-times and solver
-// statistics to the given file.
+// Each verification unit — one rule at one type instantiation — solves
+// all of its queries on one SMT session of its own (word-level
+// simplification, learned clauses kept across the unit's queries,
+// assumption-guarded queries), so a unit's verdict never depends on
+// -parallel or on which other units ran before it. The benchmark
+// report lives in cmd/crocus-bench.
 package main
 
 import (
@@ -122,16 +121,9 @@ func main() {
 	parallel := flag.Int("parallel", 1, "concurrent verification workers scheduling (rule, instantiation) units work-stealingly (1 = sequential, <= 0 = all CPUs)")
 	stats := flag.Bool("stats", false, "print cumulative SAT statistics (propagations/conflicts/decisions/queries) per rule")
 	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
-	fresh := flag.Bool("fresh", false, "use a fresh solver per query instead of one incremental session per rule (reference pipeline)")
 	budget := flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
-	noInprocess := flag.Bool("no-inprocess", false, "disable CDCL inprocessing (variable elimination, subsumption, vivification); verdicts must not change")
-	noStructHash := flag.Bool("no-structhash", false, "disable structural hashing in the bit-blaster (gate-level node sharing); verdicts must not change")
 	retryBudgets := flag.String("retry-budgets", "", "timeout-escalation ladder: comma-separated propagation budgets to retry timed-out units at (ascending; 0 = unlimited final rung)")
 	injectPanic := flag.String("inject-panic", "", "fault-injection: install a custom VC that panics for the named rule (testing the containment path)")
-	benchJSON := flag.String("bench-json", "", "benchmark the corpus under fresh, incremental, and warm-cache pipelines and write the report to this file")
-	benchEvalBase := flag.Int64("bench-eval-base-ns", 0, "externally measured pre-PR crocus-eval wall time (ns), recorded in the -bench-json report")
-	benchEvalNew := flag.Int64("bench-eval-new-ns", 0, "externally measured this-build crocus-eval wall time (ns), recorded in the -bench-json report")
-	benchSchedBase := flag.Int64("bench-sched-base-ns", 0, "externally measured pre-PR cold sweep wall time at the same -parallel (ns), recorded in the -bench-json report")
 	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file of the run's pipeline spans (load in Perfetto or chrome://tracing)")
 	traceJSONL := flag.String("trace-jsonl", "", "write the run's pipeline spans as a JSONL event stream")
 	metrics := flag.Bool("metrics", false, "print the metrics registry and the per-rule phase-breakdown table after the run")
@@ -202,7 +194,6 @@ func main() {
 			timeout:    *timeout,
 			distinct:   *distinct,
 			custom:     *custom,
-			fresh:      *fresh,
 			stats:      *stats,
 			budget:     *budget,
 			ladder:     ladder,
@@ -246,11 +237,8 @@ func main() {
 		DistinctModels:    *distinct,
 		Parallelism:       *parallel,
 		CacheDir:          *cacheDir,
-		FreshSolvers:      *fresh,
 		PropagationBudget: *budget,
 		RetryBudgets:      ladder,
-		NoInprocess:       *noInprocess,
-		NoStructHash:      *noStructHash,
 		ShardIndex:        shardIdx,
 		ShardCount:        shardCnt,
 	}
@@ -269,10 +257,6 @@ func main() {
 		}
 	}
 
-	if *benchJSON != "" {
-		os.Exit(runBenchJSON(*benchJSON, prog, opts, *corpusName, *benchEvalBase, *benchEvalNew, *benchSchedBase))
-	}
-
 	// The sweep journal makes a killed run resumable: completed unit
 	// fingerprints are logged under the cache dir, and a rerun with the
 	// same sweep identity (corpus, files, rule filter, and every
@@ -288,8 +272,8 @@ func main() {
 			*corpusName,
 			strings.Join(flag.Args(), "\x00"),
 			*ruleName,
-			fmt.Sprintf("timeout=%s distinct=%t custom=%t fresh=%t budget=%d ladder=%v noip=%t nosh=%t shard=%d/%d",
-				*timeout, *distinct, *custom, *fresh, *budget, ladder, *noInprocess, *noStructHash, shardIdx, shardCnt),
+			fmt.Sprintf("timeout=%s distinct=%t custom=%t budget=%d ladder=%v shard=%d/%d",
+				*timeout, *distinct, *custom, *budget, ladder, shardIdx, shardCnt),
 		})
 		j, err := vcache.OpenJournal(*cacheDir, sweepID)
 		if err != nil {

@@ -1,14 +1,10 @@
 // Package bench runs the repo's pinned benchmark sweeps and renders
 // them in the BENCH_*.json schema the repo has carried since PR 2: the
-// same corpus swept three ways (per-query fresh solvers, the
-// incremental session pipeline cold, and a warm vcache replay), plus
-// the cold sweep's observability breakdown and a cross-sweep verdict
-// compatibility check.
-//
-// The package exists so two binaries can share one definition: `crocus
-// -bench-json` (the ad-hoc measurement tool) and `crocus-bench` (the
-// CI perf-regression gate, which additionally compares a fresh report
-// against a committed baseline — see compare.go).
+// same corpus swept cold (empty result cache) and then warm (a replay
+// of the cold sweep's cache), plus the cold sweep's observability
+// breakdown and a cross-sweep verdict compatibility check. crocus-bench
+// is its one entry point; it also compares a report against a committed
+// baseline (see compare.go).
 package bench
 
 import (
@@ -40,7 +36,7 @@ type Phase struct {
 }
 
 // Obs is the report's observability section, collected by tracing the
-// incremental cold sweep: where the pipeline's time goes by phase, and
+// cold sweep: where the pipeline's time goes by phase, and
 // which simplify rules carry the load.
 type Obs struct {
 	// PhaseTotalsNS sums span wall time per phase name across the sweep.
@@ -53,50 +49,34 @@ type Obs struct {
 	Counters map[string]int64 `json:"counters"`
 }
 
-// Report is the schema of the BENCH_*.json artifact.
+// Report is the schema of the BENCH_*.json artifact. The phase JSON tags
+// keep their historical names so committed baselines stay readable.
 type Report struct {
 	Corpus    string `json:"corpus"`
 	TimeoutNS int64  `json:"timeout_ns"`
 	// Budget records the deterministic propagation budget the sweeps ran
 	// under (0 = wall-clock only). The regression gate pins it so timeout
 	// counts are machine-independent.
-	Budget             int64   `json:"propagation_budget,omitempty"`
-	Parallel           int     `json:"parallel"`
-	Fresh              Phase   `json:"fresh"`
-	IncrementalCold    Phase   `json:"incremental_cold"`
-	IncrementalWarm    Phase   `json:"incremental_warm_cache"`
-	SpeedupColdVsFresh float64 `json:"speedup_cold_vs_fresh"`
-	SpeedupWarmVsFresh float64 `json:"speedup_warm_vs_fresh"`
+	Budget          int64 `json:"propagation_budget,omitempty"`
+	Parallel        int   `json:"parallel"`
+	IncrementalCold Phase `json:"incremental_cold"`
+	IncrementalWarm Phase `json:"incremental_warm_cache"`
 	// VerdictsMatch reports that no instantiation was decided
-	// contradictorily across the three sweeps. Timeouts are resource
-	// artifacts, not verdicts: a query near the wall-clock deadline can
-	// finish in one pipeline and not the other, so success/timeout flips
-	// are compatible, while success vs failure is a real disagreement.
+	// contradictorily between the cold and warm sweeps. Timeouts are
+	// resource artifacts, not verdicts: a query near the wall-clock
+	// deadline can finish in one sweep and not the other, so
+	// success/timeout flips are compatible, while success vs failure is a
+	// real disagreement.
 	VerdictsMatch bool `json:"verdicts_match"`
-	// The eval_* fields record the cross-build acceptance measurement:
-	// cold full-corpus `crocus-eval -exp table1` wall time under the
-	// pre-PR build vs this build, measured back-to-back on the same idle
-	// machine and injected via -bench-eval-base-ns / -bench-eval-new-ns
-	// (two binaries cannot share one process, so the report carries the
-	// externally timed numbers alongside its own in-process sweeps).
-	EvalBaselineWallNS int64   `json:"eval_pre_pr_wall_ns,omitempty"`
-	EvalNewWallNS      int64   `json:"eval_this_pr_wall_ns,omitempty"`
-	EvalImprovement    float64 `json:"eval_improvement,omitempty"`
-	// The sched_* fields record the unit-scheduler acceptance measurement:
-	// cold full-corpus wall time at the same -parallel under the pre-PR
-	// rule-partitioned scheduler, externally timed with the pre-PR binary
-	// and injected via -bench-sched-base-ns.
-	SchedBaselineColdNS int64   `json:"sched_pre_pr_cold_wall_ns,omitempty"`
-	SchedImprovement    float64 `json:"sched_improvement,omitempty"`
-	// Obs is the incremental cold sweep's phase/rule breakdown (the same
-	// data `crocus -metrics` prints, in machine-readable form).
+	// Obs is the cold sweep's phase/rule breakdown (the same data
+	// `crocus -metrics` prints, in machine-readable form).
 	Obs Obs `json:"obs"`
 }
 
-// Run sweeps the program under the three pipelines and assembles the
-// report. The cold incremental sweep runs traced (feeding the obs
-// section); its tracer is returned so callers can export the Chrome
-// trace as a CI artifact.
+// Run sweeps the program cold, then warm against the cold sweep's
+// result cache, and assembles the report. The cold sweep runs traced
+// (feeding the obs section); its tracer is returned so callers can
+// export the Chrome trace as a CI artifact.
 func Run(prog *isle.Program, base core.Options, corpusName string) (*Report, *obs.Tracer, error) {
 	cacheDir, err := os.MkdirTemp("", "crocus-bench-cache-")
 	if err != nil {
@@ -111,43 +91,26 @@ func Run(prog *isle.Program, base core.Options, corpusName string) (*Report, *ob
 		Parallel:  base.Parallelism,
 	}
 
-	fresh := base
-	fresh.FreshSolvers = true
-	fresh.CacheDir = ""
-	freshPh, freshV, err := sweep(prog, fresh, nil)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fresh sweep: %w", err)
-	}
-	report.Fresh = freshPh
-
-	// The cold incremental sweep — the pipeline the repo actually ships —
-	// runs traced, feeding the report's obs section. The overhead is part
-	// of its measured wall time, which is fair: the artifact documents
-	// what a traced run costs.
-	cold := base
-	cold.FreshSolvers = false
-	cold.CacheDir = cacheDir
+	// The cold sweep runs traced. The overhead is part of its measured
+	// wall time, which is fair: the artifact documents what a traced run
+	// costs.
+	opts := base
+	opts.CacheDir = cacheDir
 	tr := obs.New()
-	coldPh, coldV, err := sweep(prog, cold, tr)
+	coldPh, coldV, err := sweep(prog, opts, tr)
 	if err != nil {
-		return nil, nil, fmt.Errorf("incremental sweep: %w", err)
+		return nil, nil, fmt.Errorf("cold sweep: %w", err)
 	}
 	report.IncrementalCold = coldPh
 	report.Obs = CollectObs(tr)
 
-	warmPh, warmV, err := sweep(prog, cold, nil)
+	warmPh, warmV, err := sweep(prog, opts, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("warm sweep: %w", err)
 	}
 	report.IncrementalWarm = warmPh
 
-	report.VerdictsMatch = CompatibleVerdicts(freshV, coldV) && CompatibleVerdicts(coldV, warmV)
-	if coldPh.WallNS > 0 {
-		report.SpeedupColdVsFresh = float64(freshPh.WallNS) / float64(coldPh.WallNS)
-	}
-	if warmPh.WallNS > 0 {
-		report.SpeedupWarmVsFresh = float64(freshPh.WallNS) / float64(warmPh.WallNS)
-	}
+	report.VerdictsMatch = CompatibleVerdicts(coldV, warmV)
 	return report, tr, nil
 }
 
@@ -215,7 +178,7 @@ func CollectObs(tr *obs.Tracer) Obs {
 // CompatibleVerdicts compares per-instantiation outcome sequences.
 // Decided outcomes must match exactly; "timeout" is compatible with
 // anything (the sweeps run against a wall clock, so queries near the
-// deadline legitimately decide in one pipeline and not another).
+// deadline legitimately decide in one sweep and not another).
 func CompatibleVerdicts(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

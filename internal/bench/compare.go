@@ -31,7 +31,7 @@ func DefaultTolerances() Tolerances {
 
 // Regression is one threshold violation found by Compare.
 type Regression struct {
-	Phase  string // "fresh", "incremental_cold", "incremental_warm_cache"
+	Phase  string // "report", "incremental_cold", "incremental_warm_cache"
 	Metric string
 	Detail string
 }
@@ -60,14 +60,13 @@ func Compare(baseline, current *Report, tol Tolerances) []Regression {
 		flag("report", "propagation_budget", "baseline %d vs current %d (not the same experiment)", baseline.Budget, current.Budget)
 	}
 	if !current.VerdictsMatch {
-		flag("report", "verdicts_match", "pipelines disagree on verdicts in the current run")
+		flag("report", "verdicts_match", "cold and warm sweeps disagree on verdicts in the current run")
 	}
 
 	phases := []struct {
 		name      string
 		base, cur *Phase
 	}{
-		{"fresh", &baseline.Fresh, &current.Fresh},
 		{"incremental_cold", &baseline.IncrementalCold, &current.IncrementalCold},
 		{"incremental_warm_cache", &baseline.IncrementalWarm, &current.IncrementalWarm},
 	}

@@ -19,7 +19,6 @@ func baseReport() *Report {
 		Corpus:          "aarch64",
 		TimeoutNS:       1_000_000_000,
 		Budget:          200_000,
-		Fresh:           basePhase(),
 		IncrementalCold: basePhase(),
 		IncrementalWarm: basePhase(),
 		VerdictsMatch:   true,
@@ -46,8 +45,8 @@ func TestCompareWithinToleranceHasNoRegressions(t *testing.T) {
 	}
 	// Fewer timeouts than baseline is an improvement, never a regression.
 	cur = baseReport()
-	cur.Fresh.Outcomes["timeout"] = 0
-	cur.Fresh.Outcomes["success"] = 269
+	cur.IncrementalCold.Outcomes["timeout"] = 0
+	cur.IncrementalCold.Outcomes["success"] = 269
 	if regs := Compare(baseReport(), cur, DefaultTolerances()); len(regs) != 0 {
 		t.Fatalf("fewer timeouts should pass, got %v", regs)
 	}
@@ -71,8 +70,8 @@ func TestCompareFlagsWallRegression(t *testing.T) {
 
 func TestCompareFlagsTimeoutRegression(t *testing.T) {
 	cur := baseReport()
-	cur.Fresh.Outcomes["timeout"] = 25 // +8 > delta 2
-	cur.Fresh.Outcomes["success"] = 244
+	cur.IncrementalCold.Outcomes["timeout"] = 25 // +8 > delta 2
+	cur.IncrementalCold.Outcomes["success"] = 244
 	regs := Compare(baseReport(), cur, DefaultTolerances())
 	if len(regs) != 1 || regs[0].Metric != "outcomes.timeout" {
 		t.Fatalf("want outcomes.timeout regression, got %v", regs)
@@ -98,8 +97,8 @@ func TestCompareFlagsVerdictDrift(t *testing.T) {
 
 	// Lost instantiations are flagged even with all tolerances disabled.
 	cur = baseReport()
-	cur.Fresh.Insts = 380
-	cur.Fresh.Outcomes["success"] = 251
+	cur.IncrementalWarm.Insts = 380
+	cur.IncrementalWarm.Outcomes["success"] = 251
 	tol := Tolerances{MaxWallRatio: 0, MaxTimeoutDelta: -1}
 	regs = Compare(baseReport(), cur, tol)
 	if len(regs) == 0 {
@@ -110,7 +109,7 @@ func TestCompareFlagsVerdictDrift(t *testing.T) {
 	// inapplicable/error would be caught by those exact checks; this
 	// guards the aggregate).
 	cur = baseReport()
-	cur.Fresh.Outcomes["success"] = 250
+	cur.IncrementalWarm.Outcomes["success"] = 250
 	regs = Compare(baseReport(), cur, DefaultTolerances())
 	if len(regs) != 1 || regs[0].Metric != "outcomes.success" {
 		t.Fatalf("want outcomes.success regression, got %v", regs)
@@ -142,7 +141,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Corpus != r.Corpus || got.Budget != r.Budget || got.Fresh.Insts != r.Fresh.Insts {
+	if got.Corpus != r.Corpus || got.Budget != r.Budget || got.IncrementalCold.Insts != r.IncrementalCold.Insts {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
 	if regs := Compare(r, got, DefaultTolerances()); len(regs) != 0 {
@@ -152,11 +151,11 @@ func TestReportRoundTrip(t *testing.T) {
 
 func TestRenderRegressions(t *testing.T) {
 	regs := []Regression{
-		{Phase: "fresh", Metric: "wall_ns", Detail: "too slow"},
+		{Phase: "incremental_warm_cache", Metric: "wall_ns", Detail: "too slow"},
 		{Phase: "incremental_cold", Metric: "outcomes.timeout", Detail: "too many"},
 	}
 	out := RenderRegressions(regs)
-	if !strings.Contains(out, "REGRESSION fresh/wall_ns") ||
+	if !strings.Contains(out, "REGRESSION incremental_warm_cache/wall_ns") ||
 		!strings.Contains(out, "REGRESSION incremental_cold/outcomes.timeout") {
 		t.Fatalf("render = %q", out)
 	}

@@ -15,7 +15,7 @@ import (
 // solver, bit-blaster, elaborator, or verification-condition shape
 // changes in a way that could alter verdicts: old cache entries then stop
 // matching and are re-solved rather than trusted.
-const EngineVersion = "crocus-engine-3"
+const EngineVersion = "crocus-engine-4"
 
 // prepared holds one monomorphized assignment's elaborated verification
 // conditions, ready both for fingerprinting and for solving: the Eq. 1

@@ -21,11 +21,11 @@ type elaboration struct {
 	b  *smt.Builder
 
 	// scope prefixes every SMT variable name this elaboration creates.
-	// When a rule's instantiations share one builder (the incremental
-	// session path), distinct scopes keep same-named ISLE variables of
-	// different widths from colliding. The scope is derived purely from
-	// the unit's content (signature + assignment index), never from sweep
-	// position, so fingerprints stay deterministic.
+	// A unit's assignments share one builder, so distinct scopes keep
+	// same-named ISLE variables of different assignments from colliding.
+	// The scope is derived purely from the unit's content (signature +
+	// assignment index), never from sweep position, so fingerprints stay
+	// deterministic.
 	scope string
 
 	nodeVal map[*isle.TermNode]smt.TermID

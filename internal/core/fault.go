@@ -10,8 +10,7 @@ import (
 
 // PanicError is the diagnostics bundle for a panic contained during rule
 // verification: which rule and type instantiation were being verified,
-// the pipeline configuration of the faulting attempt, the recovered
-// value, and the goroutine stack at the panic site. Sweeps degrade the
+// the recovered value, and the goroutine stack at the panic site. Sweeps degrade the
 // fault to an OutcomeError result instead of crashing (Crux treats
 // solver-backend failure as a first-class, recoverable outcome).
 type PanicError struct {
@@ -20,9 +19,6 @@ type PanicError struct {
 	// Sig is the active type instantiation, or "" when the fault happened
 	// before one was selected (e.g. during monomorphization).
 	Sig string
-	// Pipeline identifies the attempt's solve configuration:
-	// "incremental" (rule sessions) or "fresh" (reference path).
-	Pipeline string
 	// Value is the recovered panic value.
 	Value any
 	// Stack is the goroutine stack captured at recovery.
@@ -34,22 +30,14 @@ func (e *PanicError) Error() string {
 	if e.Sig != "" {
 		sig = fmt.Sprintf(" [%s]", e.Sig)
 	}
-	return fmt.Sprintf("panic verifying %s%s (%s pipeline): %v", e.Rule, sig, e.Pipeline, e.Value)
+	return fmt.Sprintf("panic verifying %s%s: %v", e.Rule, sig, e.Value)
 }
 
-func pipelineName(fresh bool) string {
-	if fresh {
-		return "fresh"
-	}
-	return "incremental"
-}
-
-func newPanicError(rule *isle.Rule, sig *isle.Sig, val any, fresh bool) *PanicError {
+func newPanicError(rule *isle.Rule, sig *isle.Sig, val any) *PanicError {
 	pe := &PanicError{
-		Rule:     rule.Name,
-		Pipeline: pipelineName(fresh),
-		Value:    val,
-		Stack:    string(debug.Stack()),
+		Rule:  rule.Name,
+		Value: val,
+		Stack: string(debug.Stack()),
 	}
 	if sig != nil {
 		pe.Sig = sig.String()

@@ -39,7 +39,7 @@ func panicVC(skip int) *CustomVC {
 }
 
 // TestPanicContainedAsError: a rule whose pipeline panics under both the
-// incremental attempt and the fresh-solver retry is reported as
+// first attempt and the retry is reported as
 // OutcomeError carrying a *PanicError — not a crash, not an error return.
 func TestPanicContainedAsError(t *testing.T) {
 	v := buildVerifier(t, faultRules, Options{
@@ -68,11 +68,11 @@ func TestPanicContainedAsError(t *testing.T) {
 }
 
 // TestPanicRetriedFresh: a fault that only strikes the first attempt is
-// healed by the fresh-solver reference retry, and the result says so.
+// healed by the retry on new sessions, and the result says so.
 func TestPanicRetriedFresh(t *testing.T) {
 	// Four instantiations x one assignment each: the first Condition call
-	// (incremental attempt, first instantiation) panics; every later call
-	// (the fresh retry) succeeds.
+	// (first attempt, first instantiation) panics; every later call (the
+	// retry) succeeds.
 	vc := &CustomVC{}
 	calls := 0
 	vc.Condition = func(ctx *VCContext) (smt.TermID, error) {
@@ -90,7 +90,7 @@ func TestPanicRetriedFresh(t *testing.T) {
 		t.Fatal("RetriedFresh not set")
 	}
 	if rr.Outcome() != OutcomeSuccess {
-		t.Fatalf("outcome = %v, want success from the fresh retry", rr.Outcome())
+		t.Fatalf("outcome = %v, want success from the retry", rr.Outcome())
 	}
 }
 

@@ -1,28 +1,23 @@
 package core_test
 
-// Differential test of the incremental solve pipeline (ISSUE 2): the
-// per-rule session (shared builder, retained learned clauses, word-level
-// simplification) must be verdict-for-verdict identical to the reference
-// fresh-solver-per-query pipeline across the full embedded corpus.
+// Differential tests of the incremental solve: a unit's session answers
+// all of the unit's queries (applicability, distinctness, equivalence)
+// over one encoding, keeping learned clauses from query to query. Its
+// verdicts must equal those of a one-shot solver per query
+// (VerifyInstantiationOneShot, over smt.Check), on every unit the two
+// decide.
 //
-// Comparison semantics: every unit DECIDED by both pipelines must agree
-// exactly — outcome, distinct-models verdict, counterexample presence.
+// Comparison semantics: every unit DECIDED by both sides must agree
+// exactly: outcome, distinct-models verdict, counterexample presence.
+// The concrete counterexample is not compared, because a failing query
+// has many models and the two sides search different clause databases.
 // A budget exhaustion (OutcomeTimeout) is a resource artifact, not a
-// verdict: the two pipelines search with different clause databases, so
-// a query whose cost is near the budget legitimately decides in one and
-// not the other (the aarch64 corpus has mid-tier rotate/mul-8 queries in
-// the 3–30M propagation band, flipping in BOTH directions at any
-// affordable budget). Treating timeout as compatible-with-anything keeps
-// the test deterministic without burning hundreds of millions of wasted
-// propagations per hard instance; a coverage floor asserts that almost
-// all units are decided by both pipelines, so the parity check cannot
-// degenerate into vacuity.
-//
-// This file lives in package core_test because internal/corpus imports
-// internal/core.
+// verdict: a query whose cost is near the budget may decide on one side
+// and not the other, so a timeout is compatible with anything. A
+// coverage floor keeps that escape hatch an edge case, so the parity
+// check cannot degenerate into vacuity.
 
 import (
-	"fmt"
 	"testing"
 
 	"crocus/internal/core"
@@ -30,73 +25,53 @@ import (
 	"crocus/internal/isle"
 )
 
-// diffBudget decides every tractable corpus query in either pipeline,
-// while the intractable wide mul/div/rem instances blow through it even
-// with a warm session.
+// diffBudget decides every tractable corpus query on either side, while
+// the intractable wide mul/div/rem instances blow through it.
 const diffBudget = 5_000_000
 
 // bugsBudget is wider: the division-bug counterexample searches are the
-// hardest satisfiable queries in the tree, needing up to ~10M
-// propagations depending on pipeline and search order.
+// hardest satisfiable queries in the tree.
 const bugsBudget = 20_000_000
 
-// unitVerdict is one per-instantiation result in comparable form. The
-// concrete counterexample values are NOT compared: a failing query has
-// many models and the two pipelines search in different orders, so each
-// may legitimately return a different witness.
-type unitVerdict struct {
-	name     string
-	outcome  core.Outcome
-	distinct string
-	hasCex   bool
-}
-
-func flattenResults(rs []*core.RuleResult) []unitVerdict {
-	var out []unitVerdict
-	for _, rr := range rs {
-		for _, io := range rr.Insts {
-			sig := ""
-			if io.Sig != nil {
-				sig = io.Sig.String()
+// oneShotResults decides every unit of prog, in VerifyAll's order, with
+// a one-shot solver per query.
+func oneShotResults(t *testing.T, v *core.Verifier) []*core.RuleResult {
+	t.Helper()
+	var out []*core.RuleResult
+	for _, r := range v.Prog.Rules {
+		rr := &core.RuleResult{Rule: r}
+		for _, sig := range v.Sigs(r) {
+			io, err := v.VerifyInstantiationOneShot(r, sig)
+			if err != nil {
+				t.Fatalf("%s: %v", r.Name, err)
 			}
-			u := unitVerdict{
-				name:    fmt.Sprintf("%s @ %s", rr.Rule.Name, sig),
-				outcome: io.Outcome,
-				hasCex:  io.Counterexample != nil,
-			}
-			if io.DistinctInputs != nil {
-				u.distinct = fmt.Sprintf("%v", *io.DistinctInputs)
-			}
-			out = append(out, u)
+			rr.Insts = append(rr.Insts, *io)
 		}
+		out = append(out, rr)
 	}
 	return out
 }
 
-// diffCorpus verifies prog under both pipelines and compares verdicts.
-// floorPct is the minimum percentage of units that must be decided by
-// both pipelines: 85 for the main corpora, lower for the tiny
-// division-heavy bug corpora whose wide-width instantiations are
-// intractable in either pipeline.
+// diffCorpus verifies prog on unit sessions (a unit-scheduled sweep) and
+// with one-shot solvers, and compares verdicts. floorPct is the minimum
+// percentage of units both sides must decide: 85 for the main corpora,
+// lower for the tiny division-heavy bug corpora whose wide-width
+// instantiations are intractable on either side.
 func diffCorpus(t *testing.T, prog *isle.Program, distinct bool, budget int64, floorPct int) {
 	t.Helper()
-	mk := func(freshSolvers bool) []unitVerdict {
-		v := core.New(prog, core.Options{
-			PropagationBudget: budget,
-			DistinctModels:    distinct,
-			Parallelism:       4,
-			FreshSolvers:      freshSolvers,
-		})
-		rs, err := v.VerifyAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return flattenResults(rs)
+	opts := core.Options{
+		PropagationBudget: budget,
+		DistinctModels:    distinct,
+		Parallelism:       4,
 	}
-	fresh := mk(true)
-	incr := mk(false)
+	rs, err := core.New(prog, opts).VerifyAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	incr := flattenResults(rs)
+	fresh := flattenResults(oneShotResults(t, core.New(prog, opts)))
 	if len(fresh) != len(incr) {
-		t.Fatalf("result count differs: fresh %d, incremental %d", len(fresh), len(incr))
+		t.Fatalf("result count differs: one-shot %d, session %d", len(fresh), len(incr))
 	}
 	decidedBoth := 0
 	for i := range fresh {
@@ -108,25 +83,14 @@ func diffCorpus(t *testing.T, prog *isle.Program, distinct bool, budget int64, f
 			continue // resource artifact, compatible with anything
 		}
 		decidedBoth++
-		if f != n {
-			t.Errorf("pipelines disagree on %s:\n  fresh:       %v distinct=%q cex=%v\n  incremental: %v distinct=%q cex=%v",
-				f.name, f.outcome, f.distinct, f.hasCex, n.outcome, n.distinct, n.hasCex)
+		if f.outcome != n.outcome || f.distinct != n.distinct || (f.cex == "") != (n.cex == "") {
+			t.Errorf("session and one-shot disagree on %s:\n  one-shot: %v distinct=%q cex=%v\n  session:  %v distinct=%q cex=%v",
+				f.name, f.outcome, f.distinct, f.cex != "", n.outcome, n.distinct, n.cex != "")
 		}
 	}
-	// Coverage floor: the timeout escape hatch must stay an edge case, not
-	// the common case, or the parity check above checks nothing.
+	t.Logf("%d/%d units decided by both sides", decidedBoth, len(fresh))
 	if min := len(fresh) * floorPct / 100; decidedBoth < min {
-		t.Errorf("only %d/%d units decided by both pipelines (floor %d)", decidedBoth, len(fresh), min)
-	}
-}
-
-// skipUnderRace skips the differential sweeps that exceed the race
-// detector's time budget (they are pure solver workloads; the X64 and
-// midend sweeps cover the same concurrent code paths under race).
-func skipUnderRace(t *testing.T) {
-	t.Helper()
-	if raceDetectorEnabled {
-		t.Skip("full-corpus differential sweep is too slow under -race")
+		t.Errorf("only %d/%d units decided by both sides (floor %d)", decidedBoth, len(fresh), min)
 	}
 }
 
@@ -156,8 +120,8 @@ func TestIncrementalMatchesFreshMidend(t *testing.T) {
 }
 
 // TestIncrementalMatchesFreshDistinctModels covers the §3.2.1 extra
-// query (and its counterexample path) under both pipelines on the
-// corpus with known distinct-model failures.
+// query, and its counterexample path, on the corpus with known
+// distinct-models failures.
 func TestIncrementalMatchesFreshDistinctModels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -170,9 +134,9 @@ func TestIncrementalMatchesFreshDistinctModels(t *testing.T) {
 	diffCorpus(t, prog, true, diffBudget, 85)
 }
 
-// TestIncrementalMatchesFreshBugs replays every reproduced defect under
-// both pipelines: the counterexamples that reproduce the CVEs must be
-// found with shared sessions too.
+// TestIncrementalMatchesFreshBugs replays every reproduced defect on
+// both sides: the counterexamples that reproduce the CVEs must be found
+// on unit sessions too.
 func TestIncrementalMatchesFreshBugs(t *testing.T) {
 	skipUnderRace(t)
 	for _, b := range corpus.Bugs() {
@@ -182,10 +146,9 @@ func TestIncrementalMatchesFreshBugs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The division bug corpora are the outlier: half their
-			// instantiations are wide-division counterexample searches that
-			// sit at or beyond any affordable budget in BOTH pipelines, so
-			// the anti-vacuity floor is 50% rather than 85%.
+			// Half the division bug corpora's instantiations are
+			// wide-division counterexample searches at or beyond any
+			// affordable budget on either side, so the floor is 50%.
 			diffCorpus(t, prog, b.DistinctModels, bugsBudget, 50)
 		})
 	}

@@ -6,5 +6,5 @@ package core_test
 // -race. The full-corpus differential sweeps are ~10x slower under the
 // race detector and blow the default per-package test timeout, so the
 // heaviest of them skip; the X64 and midend sweeps still drive the
-// concurrent (Parallelism > 1) incremental session path under race.
+// concurrent (Parallelism > 1) unit-scheduled path under race.
 const raceDetectorEnabled = true

@@ -204,12 +204,10 @@ func TestInjectedSchedulerSharedAcrossSweeps(t *testing.T) {
 // workflow in-process: shard 0/2 and 1/2 with separate cache stores,
 // vcache.Merge the stores, then replay the full corpus against the
 // merged cache — verdicts must be byte-identical (including rendered
-// counterexamples, under fresh solvers where models are deterministic)
-// to a plain single-process sweep.
+// counterexamples: each unit solves on its own session, so its model is
+// a function of the unit alone) to a plain single-process sweep.
 func TestShardMergeReplayEquivalence(t *testing.T) {
-	// Fresh solvers make counterexample models independent of session
-	// composition, so the comparison below can be byte-exact.
-	base := Options{Parallelism: 2, FreshSolvers: true}
+	base := Options{Parallelism: 2}
 
 	single := buildVerifier(t, faultRules, base)
 	want, err := single.VerifyAll()

@@ -3,17 +3,14 @@ package core
 // Unit-level scheduling: VerifyAllContext and (with an injected
 // scheduler) VerifyRuleContext decompose work into verification units —
 // one (rule, type instantiation) solve — and run them on a
-// work-stealing pool (internal/sched). This file holds the pieces that
-// keep the rule-level contracts intact at unit granularity:
+// work-stealing pool (internal/sched). Every unit owns its builder and
+// solver session (see verifyInstantiation), so which worker runs a unit
+// never changes its verdict. This file holds the pieces that keep the
+// rule-level contracts intact at unit granularity:
 //
-//   - sessionPool: per-worker incremental smt.Sessions keyed by rule,
-//     so session reuse survives units of one rule landing on one worker
-//     while stolen units transparently build their own session. Unit
-//     scopes derive term names from unit content alone (see cache.go),
-//     so which session solves a unit never changes its verdict.
 //   - verifyUnitContained: PR 4's containment ladder per unit — panic
-//     recovered, one fresh-solver retry, persisting faults degrade to
-//     OutcomeError for that unit only.
+//     recovered, one retry on a new session, persisting faults degrade
+//     to OutcomeError for that unit only.
 //   - assembly: results are assembled in source order from per-slot
 //     writes, so scheduling and stealing order never leak into output.
 
@@ -26,71 +23,6 @@ import (
 	"crocus/internal/sched"
 )
 
-// sessionPoolCap bounds how many rules' sessions one worker retains.
-// Batches are distributed as contiguous source-order blocks, so a
-// worker's units for one rule arrive (mostly) consecutively and a small
-// LRU keeps the hit rate high while bounding memory to
-// workers × cap sessions.
-const sessionPoolCap = 8
-
-// sessionPool is one worker's rule-keyed session cache. A worker
-// executes its tasks serially, so the pool needs no locking.
-type sessionPool struct {
-	sessions map[*isle.Rule]*ruleSession
-	order    []*isle.Rule // LRU, most recently used last
-}
-
-func newSessionPool() *sessionPool {
-	return &sessionPool{sessions: map[*isle.Rule]*ruleSession{}}
-}
-
-// get returns the worker's session for rule, creating (and LRU-evicting)
-// as needed. Nil under FreshSolvers — every query then builds its own
-// solver, as in the reference pipeline.
-func (sp *sessionPool) get(v *Verifier, rule *isle.Rule) *ruleSession {
-	if v.Opts.FreshSolvers {
-		return nil
-	}
-	if rs, ok := sp.sessions[rule]; ok {
-		sp.touch(rule)
-		return rs
-	}
-	if len(sp.order) >= sessionPoolCap {
-		oldest := sp.order[0]
-		sp.order = sp.order[1:]
-		delete(sp.sessions, oldest)
-	}
-	rs := newRuleSession()
-	sp.sessions[rule] = rs
-	sp.order = append(sp.order, rule)
-	return rs
-}
-
-// touch moves rule to the most-recently-used end.
-func (sp *sessionPool) touch(rule *isle.Rule) {
-	for i, r := range sp.order {
-		if r == rule {
-			sp.order = append(append(sp.order[:i:i], sp.order[i+1:]...), rule)
-			return
-		}
-	}
-}
-
-// drop discards the worker's session for rule — called after a panic,
-// when the session's solver state must be assumed poisoned.
-func (sp *sessionPool) drop(rule *isle.Rule) {
-	if _, ok := sp.sessions[rule]; !ok {
-		return
-	}
-	delete(sp.sessions, rule)
-	for i, r := range sp.order {
-		if r == rule {
-			sp.order = append(sp.order[:i], sp.order[i+1:]...)
-			return
-		}
-	}
-}
-
 // unitSlot is one unit's result cell: written by exactly one task,
 // read after the batch completes. A nil io means the unit never ran
 // (cancellation).
@@ -99,16 +31,16 @@ type unitSlot struct {
 	retriedFresh bool
 }
 
-// verifyUnitAttempt runs one unit attempt under the given session,
-// converting any panic in the monomorphize/elaborate/blast/solve stack
-// into a *PanicError (the per-unit analogue of verifyRuleAttempt).
-func (v *Verifier) verifyUnitAttempt(ctx context.Context, rs *ruleSession, rule *isle.Rule, sig *isle.Sig, fresh bool) (io *InstOutcome, err error) {
+// verifyUnitAttempt runs one unit attempt, converting any panic in the
+// monomorphize/elaborate/blast/solve stack into a *PanicError (the
+// per-unit analogue of verifyRuleAttempt).
+func (v *Verifier) verifyUnitAttempt(ctx context.Context, rule *isle.Rule, sig *isle.Sig) (io *InstOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			io, err = nil, newPanicError(rule, sig, r, fresh)
+			io, err = nil, newPanicError(rule, sig, r)
 		}
 	}()
-	io, err = v.verifyInstantiation(ctx, rs, rule, sig)
+	io, err = v.verifyInstantiation(ctx, rule, sig)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", rule, err)
 	}
@@ -117,33 +49,28 @@ func (v *Verifier) verifyUnitAttempt(ctx context.Context, rs *ruleSession, rule 
 
 // verifyUnitContained verifies one unit with sweep-grade fault
 // isolation, mirroring VerifyRuleContext's ladder at unit granularity:
-// a fault under the incremental session drops the (possibly poisoned)
-// session from the worker's pool and retries once through the
-// fresh-solver reference path; a persisting fault degrades to an
-// OutcomeError outcome for this unit only. Returns a nil slot.io only
-// when the context was canceled before the unit completed.
-func (v *Verifier) verifyUnitContained(ctx context.Context, sp *sessionPool, rule *isle.Rule, sig *isle.Sig) unitSlot {
-	rs := sp.get(v, rule)
-	io, err := v.verifyUnitAttempt(ctx, rs, rule, sig, rs == nil)
+// a faulting attempt is retried once (on a new session, like every
+// attempt); a persisting fault degrades to an OutcomeError outcome for
+// this unit only. Returns a nil slot.io only when the context was
+// canceled before the unit completed.
+func (v *Verifier) verifyUnitContained(ctx context.Context, rule *isle.Rule, sig *isle.Sig) unitSlot {
+	io, err := v.verifyUnitAttempt(ctx, rule, sig)
 	if err == nil {
 		return unitSlot{io: io}
 	}
 	if ctx.Err() != nil {
 		return unitSlot{}
 	}
+	io2, err2 := v.verifyUnitAttempt(ctx, rule, sig)
+	if err2 == nil {
+		return unitSlot{io: io2, retriedFresh: true}
+	}
+	if ctx.Err() != nil {
+		return unitSlot{}
+	}
 	fault := err
-	if rs != nil {
-		sp.drop(rule)
-		io2, err2 := v.verifyUnitAttempt(ctx, nil, rule, sig, true)
-		if err2 == nil {
-			return unitSlot{io: io2, retriedFresh: true}
-		}
-		if ctx.Err() != nil {
-			return unitSlot{}
-		}
-		if !isPanicErr(fault) && isPanicErr(err2) {
-			fault = err2
-		}
+	if !isPanicErr(fault) && isPanicErr(err2) {
+		fault = err2
 	}
 	return unitSlot{io: &InstOutcome{Sig: sig, Outcome: OutcomeError, Err: fault}}
 }
@@ -157,7 +84,7 @@ func workerName(w int) string { return fmt.Sprintf("worker-%d", w) }
 // unitTask builds the closure that verifies one unit and writes its
 // slot. ctx is the sweep context; the task re-homes tracing onto the
 // executing worker's lane at run time.
-func (v *Verifier) unitTask(ctx context.Context, pools []*sessionPool, rule *isle.Rule, sig *isle.Sig, slot *unitSlot) sched.Task {
+func (v *Verifier) unitTask(ctx context.Context, rule *isle.Rule, sig *isle.Sig, slot *unitSlot) sched.Task {
 	return func(w int) {
 		if ctx.Err() != nil {
 			return // canceled before start: leave the slot empty
@@ -165,7 +92,7 @@ func (v *Verifier) unitTask(ctx context.Context, pools []*sessionPool, rule *isl
 		wctx := obs.WithNamedThread(ctx, workerName(w))
 		wctx = obs.WithScope(wctx, rule.Name)
 		sp := obs.Start(wctx, obs.PhaseUnit)
-		*slot = v.verifyUnitContained(wctx, pools[w], rule, sig)
+		*slot = v.verifyUnitContained(wctx, rule, sig)
 		if slot.io != nil {
 			sp.SetAttr(obs.Str("outcome", slot.io.Outcome.String()))
 		}
@@ -218,14 +145,10 @@ func (v *Verifier) verifyAllScheduled(ctx context.Context, rules []*isle.Rule, p
 		slots[i] = make([]unitSlot, len(sigs[i]))
 		total += len(sigs[i])
 	}
-	pools := make([]*sessionPool, pool.Workers())
-	for w := range pools {
-		pools[w] = newSessionPool()
-	}
 	tasks := make([]sched.Task, 0, total)
 	for i, r := range rules {
 		for j, sig := range sigs[i] {
-			tasks = append(tasks, v.unitTask(ctx, pools, r, sig, &slots[i][j]))
+			tasks = append(tasks, v.unitTask(ctx, r, sig, &slots[i][j]))
 		}
 	}
 	pool.RunBatch(tasks)
@@ -250,13 +173,9 @@ func (v *Verifier) verifyAllScheduled(ctx context.Context, rules []*isle.Rule, p
 func (v *Verifier) verifyRuleScheduled(ctx context.Context, pool *sched.Pool, rule *isle.Rule) *RuleResult {
 	sigs := v.Sigs(rule)
 	slots := make([]unitSlot, len(sigs))
-	pools := make([]*sessionPool, pool.Workers())
-	for w := range pools {
-		pools[w] = newSessionPool()
-	}
 	tasks := make([]sched.Task, len(sigs))
 	for j, sig := range sigs {
-		tasks[j] = v.unitTask(ctx, pools, rule, sig, &slots[j])
+		tasks[j] = v.unitTask(ctx, rule, sig, &slots[j])
 	}
 	pool.RunBatch(tasks)
 	rr, ok := v.assembleRule(ctx, rule, sigs, slots)

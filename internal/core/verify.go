@@ -119,12 +119,6 @@ type Options struct {
 	// journal's lifetime belongs to the caller (the CLIs open it from
 	// -journal and Complete/Close it at sweep end).
 	Journal *vcache.Journal
-	// FreshSolvers disables the incremental solve pipeline: every query
-	// gets its own builder, blaster, and SAT solver, as in the original
-	// per-query path. Verdicts are identical either way (the differential
-	// tests assert this); the fresh path is the slower reference
-	// implementation, kept for A/B benchmarking and diagnosis.
-	FreshSolvers bool
 	// Scheduler injects a shared work-stealing pool to run verification
 	// units on instead of a per-sweep transient pool — long-running
 	// hosts (crocus-serve) size one pool at admission capacity and
@@ -187,10 +181,9 @@ type Counterexample struct {
 }
 
 // SolverStats are cumulative SAT search statistics across a verification
-// unit's queries (applicability, distinctness, equivalence). With the
-// incremental pipeline the propagation/conflict/decision counts are
-// per-query deltas summed over the unit's queries, so they remain
-// comparable to the fresh-solver path.
+// unit's queries (applicability, distinctness, equivalence). The
+// propagation/conflict/decision counts are per-query deltas of the
+// unit's session, summed over its queries.
 type SolverStats struct {
 	Propagations int64
 	Conflicts    int64
@@ -286,8 +279,8 @@ type InstOutcome struct {
 type RuleResult struct {
 	Rule  *isle.Rule
 	Insts []InstOutcome
-	// RetriedFresh reports that the incremental-session attempt faulted
-	// and this result came from the fresh-solver reference retry.
+	// RetriedFresh reports that the first attempt faulted and this result
+	// came from the retry, which solves on new sessions.
 	RetriedFresh bool
 }
 
@@ -346,28 +339,8 @@ func (v *Verifier) Sigs(rule *isle.Rule) []*isle.Sig {
 	return out
 }
 
-// ruleSession bundles the shared term builder and the incremental SMT
-// session all verification units of one rule solve through. The
-// monomorphized instantiations of a rule share most of their term
-// structure; one session means that structure is interned, simplified,
-// and bit-blasted once, and the SAT solver carries its learned clauses
-// from one width's queries to the next. Each query is isolated behind
-// its own activation literal (see smt.Session). A ruleSession is owned
-// by a single goroutine.
-type ruleSession struct {
-	b    *smt.Builder
-	sess *smt.Session
-}
-
-func newRuleSession() *ruleSession {
-	b := smt.NewBuilder()
-	return &ruleSession{b: b, sess: smt.NewSession(b)}
-}
-
 // VerifyRule verifies one rule across all of its type instantiations.
-// The instantiations share one incremental session (unless
-// Options.FreshSolvers). Equivalent to VerifyRuleContext with a
-// background context.
+// Equivalent to VerifyRuleContext with a background context.
 func (v *Verifier) VerifyRule(rule *isle.Rule) (*RuleResult, error) {
 	return v.VerifyRuleContext(context.Background(), rule)
 }
@@ -375,12 +348,12 @@ func (v *Verifier) VerifyRule(rule *isle.Rule) (*RuleResult, error) {
 // VerifyRuleContext is VerifyRule under a cancellation context, with
 // per-rule fault containment: a panic anywhere in the
 // elaborate/blast/solve pipeline is recovered, the rule is retried once
-// through the fresh-solver reference path (unless it already ran
-// fresh), and a persisting panic is reported as a RuleResult with
-// OutcomeError carrying a *PanicError diagnostics bundle instead of
-// crashing the process. Non-panic errors (malformed corpus, missing
-// annotations) are still returned as errors. A canceled context returns
-// ctx.Err() with no result; nothing partial is cached.
+// (every unit of the retry solves on a new session), and a persisting
+// panic is reported as a RuleResult with OutcomeError carrying a
+// *PanicError diagnostics bundle instead of crashing the process.
+// Non-panic errors (malformed corpus, missing annotations) are still
+// returned as errors. A canceled context returns ctx.Err() with no
+// result; nothing partial is cached.
 func (v *Verifier) VerifyRuleContext(ctx context.Context, rule *isle.Rule) (*RuleResult, error) {
 	if sc := obs.Get(ctx); sc != nil {
 		// Scope every span under this rule's name so the phase-breakdown
@@ -399,7 +372,7 @@ func (v *Verifier) VerifyRuleContext(ctx context.Context, rule *isle.Rule) (*Rul
 		}
 		return rr, nil
 	}
-	rr, err := v.verifyRuleAttempt(ctx, rule, v.Opts.FreshSolvers)
+	rr, err := v.verifyRuleAttempt(ctx, rule)
 	if err == nil {
 		return rr, nil
 	}
@@ -407,21 +380,17 @@ func (v *Verifier) VerifyRuleContext(ctx context.Context, rule *isle.Rule) (*Rul
 		return nil, cerr
 	}
 	fault := err
-	if !v.Opts.FreshSolvers {
-		// Fault under the incremental pipeline: retry once through the
-		// fresh-solver reference path before giving up.
-		rr2, err2 := v.verifyRuleAttempt(ctx, rule, true)
-		if err2 == nil {
-			rr2.RetriedFresh = true
-			return rr2, nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		// Keep whichever fault carries panic diagnostics.
-		if !isPanicErr(fault) && isPanicErr(err2) {
-			fault = err2
-		}
+	rr2, err2 := v.verifyRuleAttempt(ctx, rule)
+	if err2 == nil {
+		rr2.RetriedFresh = true
+		return rr2, nil
+	}
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, cerr
+	}
+	// Keep whichever fault carries panic diagnostics.
+	if !isPanicErr(fault) && isPanicErr(err2) {
+		fault = err2
 	}
 	if isPanicErr(fault) {
 		return erroredResult(rule, fault), nil
@@ -430,26 +399,22 @@ func (v *Verifier) VerifyRuleContext(ctx context.Context, rule *isle.Rule) (*Rul
 }
 
 // verifyRuleAttempt runs one full verification attempt over the rule's
-// instantiations under the given pipeline, converting any panic in the
-// monomorphize/elaborate/blast/solve stack into a *PanicError.
-func (v *Verifier) verifyRuleAttempt(ctx context.Context, rule *isle.Rule, fresh bool) (rr *RuleResult, err error) {
+// instantiations, converting any panic in the monomorphize/elaborate/
+// blast/solve stack into a *PanicError.
+func (v *Verifier) verifyRuleAttempt(ctx context.Context, rule *isle.Rule) (rr *RuleResult, err error) {
 	var cur *isle.Sig
 	defer func() {
 		if r := recover(); r != nil {
-			rr, err = nil, newPanicError(rule, cur, r, fresh)
+			rr, err = nil, newPanicError(rule, cur, r)
 		}
 	}()
 	rr = &RuleResult{Rule: rule}
-	var rs *ruleSession
-	if !fresh {
-		rs = newRuleSession()
-	}
 	for _, sig := range v.Sigs(rule) {
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr
 		}
 		cur = sig
-		io, err := v.verifyInstantiation(ctx, rs, rule, sig)
+		io, err := v.verifyInstantiation(ctx, rule, sig)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", rule, err)
 		}
@@ -484,15 +449,6 @@ func (v *Verifier) verifyRuleContained(ctx context.Context, rule *isle.Rule) *Ru
 		return nil
 	}
 	return erroredResult(rule, err)
-}
-
-// newSession returns the rule-level session for the configured pipeline:
-// nil under FreshSolvers (every query then builds its own solver).
-func (v *Verifier) newSession() *ruleSession {
-	if v.Opts.FreshSolvers {
-		return nil
-	}
-	return newRuleSession()
 }
 
 // VerifyAll verifies every rule in the program, in source order.
@@ -610,7 +566,7 @@ func (v *Verifier) VerifyInstantiation(rule *isle.Rule, sig *isle.Sig) (*InstOut
 // VerifyInstantiationContext is VerifyInstantiation under a cancellation
 // context.
 func (v *Verifier) VerifyInstantiationContext(ctx context.Context, rule *isle.Rule, sig *isle.Sig) (*InstOutcome, error) {
-	return v.verifyInstantiation(ctx, v.newSession(), rule, sig)
+	return v.verifyInstantiation(ctx, rule, sig)
 }
 
 // ladderMaxBudget returns the most generous propagation budget this
@@ -632,9 +588,14 @@ func (v *Verifier) ladderMaxBudget() int64 {
 	return b
 }
 
-// verifyInstantiation is VerifyInstantiation solving through the given
-// rule session (nil = fresh solver per query).
-func (v *Verifier) verifyInstantiation(ctx context.Context, rs *ruleSession, rule *isle.Rule, sig *isle.Sig) (*InstOutcome, error) {
+// verifyInstantiation is VerifyInstantiationContext. The unit owns its
+// builder and, on a cache miss, one smt.Session over it that serves every
+// query of the unit — each assignment's applicability, distinctness and
+// equivalence queries and every escalation rung — and is dropped when
+// the unit ends. No solver state crosses a unit boundary, so a unit's
+// verdict, counterexample and SAT work depend on the unit alone, never
+// on scheduling.
+func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig *isle.Sig) (*InstOutcome, error) {
 	start := time.Now()
 	io := &InstOutcome{Sig: sig}
 	defer func() { io.Duration = time.Since(start) }()
@@ -653,18 +614,13 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rs *ruleSession, rul
 		return io, nil
 	}
 
-	// Elaborate into the session's shared builder. Scopes are derived
-	// from unit content alone, so the resulting terms — and therefore the
-	// cache fingerprints below — do not depend on which units the session
-	// solved earlier.
-	var shared *smt.Builder
-	if rs != nil {
-		shared = rs.b
-	}
+	// Elaborate every assignment into the unit's one builder, each under
+	// its content-derived scope.
+	b := smt.NewBuilder()
 	spE := sc.Start(obs.PhaseElaborate, obs.Int("assignments", int64(len(assigns))))
 	preps := make([]*prepared, len(assigns))
 	for i, a := range assigns {
-		if preps[i], err = v.prepareAssignment(ra, a, shared, unitScope(sig, i)); err != nil {
+		if preps[i], err = v.prepareAssignment(ra, a, b, unitScope(sig, i)); err != nil {
 			spE.End()
 			return nil, err
 		}
@@ -717,10 +673,12 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rs *ruleSession, rul
 	// Base attempt, then the timeout-escalation ladder: re-solve the
 	// whole unit at each more generous budget until it decides. Stats
 	// accumulate across attempts; the final attempt's budget is what the
-	// cache entry records.
+	// cache entry records. The session is opened only now, after the
+	// cache probe, so a hit never builds a solver.
+	sess := smt.NewSession(b)
 	budget := v.Opts.PropagationBudget
 	spA := sc.Start(obs.PhaseAttempt, obs.Int("budget", budget))
-	out, err := v.solveUnit(ctx, rs, preps, io, budget)
+	out, err := v.solveUnit(ctx, sess, preps, io, budget)
 	spA.SetAttr(obs.Str("outcome", out.String()))
 	spA.End()
 	if err != nil {
@@ -737,7 +695,7 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rs *ruleSession, rul
 			budget = rung
 			spR := sc.Start(obs.PhaseEscalation,
 				obs.Int("budget", budget), obs.Int("rung", int64(io.Escalations+1)))
-			out, err = v.solveUnit(ctx, rs, preps, io, budget)
+			out, err = v.solveUnit(ctx, sess, preps, io, budget)
 			spR.SetAttr(obs.Str("outcome", out.String()))
 			spR.End()
 			if err != nil {
@@ -767,15 +725,22 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rs *ruleSession, rul
 	return io, nil
 }
 
+// querier decides one query over a unit's builder. Verification passes
+// the unit's *smt.Session; the differential tests pass a one-shot solver
+// per query (smt.Check) as the reference it must agree with.
+type querier interface {
+	Check(assertions []smt.TermID, cfg smt.Config) (smt.Result, error)
+}
+
 // solveUnit decides every prepared assignment of one unit at the given
 // propagation budget under a single unit-level deadline, accumulating
 // statistics and the distinct-models verdict into io. On failure it sets
 // io.Counterexample. It returns the unit's aggregate outcome.
-func (v *Verifier) solveUnit(ctx context.Context, rs *ruleSession, preps []*prepared, io *InstOutcome, budget int64) (Outcome, error) {
+func (v *Verifier) solveUnit(ctx context.Context, sess querier, preps []*prepared, io *InstOutcome, budget int64) (Outcome, error) {
 	cfg := v.unitConfig(ctx, budget)
 	agg := OutcomeInapplicable
 	for _, p := range preps {
-		out, cex, distinct, err := v.solvePrepared(ctx, rs, p, io, cfg)
+		out, cex, distinct, err := v.solvePrepared(ctx, sess, p, io, cfg)
 		if err != nil {
 			return 0, err
 		}
@@ -798,24 +763,16 @@ func (v *Verifier) solveUnit(ctx context.Context, rs *ruleSession, preps []*prep
 	return agg, nil
 }
 
-// solvePrepared decides one prepared assignment, accumulating SAT
-// statistics into io. With a rule session, the three queries run
-// incrementally on the session's solver; otherwise each builds a fresh
-// solver.
-func (v *Verifier) solvePrepared(ctx context.Context, rs *ruleSession, p *prepared, io *InstOutcome, cfg smt.Config) (Outcome, *Counterexample, *bool, error) {
+// solvePrepared decides one prepared assignment on the unit's session,
+// accumulating SAT statistics into io.
+func (v *Verifier) solvePrepared(ctx context.Context, sess querier, p *prepared, io *InstOutcome, cfg smt.Config) (Outcome, *Counterexample, *bool, error) {
 	el, b := p.el, p.el.b
 	sc := obs.Get(ctx)
-	check := func(assertions []smt.TermID) (smt.Result, error) {
-		if rs != nil {
-			return rs.sess.Check(assertions, cfg)
-		}
-		return smt.Check(b, assertions, cfg)
-	}
 	// query wraps one of the unit's three SMT queries in its named span,
 	// tagging the result status.
 	query := func(phase string, assertions []smt.TermID) (smt.Result, error) {
 		sp := sc.Start(phase)
-		res, err := check(assertions)
+		res, err := sess.Check(assertions, cfg)
 		if err == nil {
 			sp.SetAttr(obs.Str("status", res.Status.String()))
 		}

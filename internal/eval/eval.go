@@ -50,14 +50,6 @@ type Config struct {
 	// RetryBudgets is the timeout-escalation ladder applied to
 	// budget-capped runs (see core.Options.RetryBudgets).
 	RetryBudgets []int64
-	// FreshSolvers falls back to the per-query fresh-solver reference
-	// pipeline instead of incremental rule sessions (A/B benchmarking).
-	FreshSolvers bool
-	// NoInprocess disables CDCL inprocessing; NoStructHash disables
-	// structural hashing in the bit-blaster. Both are verdict-preserving
-	// A/B knobs (see core.Options).
-	NoInprocess  bool
-	NoStructHash bool
 	// Journal, when set, records each completed verification unit of the
 	// Table 1 sweep so a killed run resumes where it died (see
 	// core.Options.Journal). The caller owns open/complete/close.
@@ -179,9 +171,6 @@ func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr err
 		RetryBudgets:      cfg.RetryBudgets,
 		Cache:             cache,
 		Journal:           cfg.Journal,
-		FreshSolvers:      cfg.FreshSolvers,
-		NoInprocess:       cfg.NoInprocess,
-		NoStructHash:      cfg.NoStructHash,
 	})
 	custom := core.New(prog, core.Options{
 		Timeout:           cfg.timeout(),
@@ -190,9 +179,6 @@ func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr err
 		RetryBudgets:      cfg.RetryBudgets,
 		Cache:             cache,
 		Journal:           cfg.Journal,
-		FreshSolvers:      cfg.FreshSolvers,
-		NoInprocess:       cfg.NoInprocess,
-		NoStructHash:      cfg.NoStructHash,
 	})
 
 	res := &Table1Result{ProgramRules: len(prog.Rules)}
@@ -364,10 +350,8 @@ func Fig4Context(ctx context.Context, cfg Config) (*Fig4Result, error) {
 		return nil, err
 	}
 	v := core.New(prog, core.Options{
-		Timeout:      cfg.timeout(),
-		Custom:       corpus.CustomVCs(),
-		NoInprocess:  cfg.NoInprocess,
-		NoStructHash: cfg.NoStructHash,
+		Timeout: cfg.timeout(),
+		Custom:  corpus.CustomVCs(),
 	})
 	res := &Fig4Result{ProgramRules: len(prog.Rules)}
 	for _, r := range prog.Rules {
@@ -585,9 +569,6 @@ func BugsStatsContext(ctx context.Context, cfg Config) (_ []*BugResult, _ *vcach
 			PropagationBudget: cfg.PropagationBudget,
 			RetryBudgets:      cfg.RetryBudgets,
 			Cache:             cache,
-			FreshSolvers:      cfg.FreshSolvers,
-			NoInprocess:       cfg.NoInprocess,
-			NoStructHash:      cfg.NoStructHash,
 		})
 		res := &BugResult{Bug: bug, Detected: true}
 		names := make([]string, 0, len(bug.Expect))

@@ -42,8 +42,8 @@ func (t *Tracer) PhaseBreakdown() *PhaseBreakdown {
 	return pb
 }
 
-// PhaseTotals sums each phase across all scopes (the -bench-json "obs"
-// section and the quick global view).
+// PhaseTotals sums each phase across all scopes (the crocus-bench
+// report's "obs" section and the quick global view).
 func (pb *PhaseBreakdown) PhaseTotals() map[string]time.Duration {
 	out := map[string]time.Duration{}
 	for _, tm := range pb.Totals {

@@ -748,8 +748,8 @@ func (s *Solver) outOfBudget() bool {
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	// Chaos failpoint at the solve entry. Solve has no error return, so
 	// an injected error surfaces as a panic and rides the containment
-	// ladder (fresh-solver retry, then OutcomeError) like any engine
-	// fault; delay-kind faults model a slow solver.
+	// ladder (one retry, then OutcomeError) like any engine fault;
+	// delay-kind faults model a slow solver.
 	if err := faultinject.Hit("sat.solve"); err != nil {
 		panic(err)
 	}

@@ -61,9 +61,6 @@ type VerifyRequest struct {
 
 	Distinct          bool    `json:"distinct,omitempty"`
 	CustomVC          bool    `json:"custom_vc,omitempty"`
-	Fresh             bool    `json:"fresh,omitempty"`
-	NoInprocess       bool    `json:"no_inprocess,omitempty"`
-	NoStructHash      bool    `json:"no_structhash,omitempty"`
 	PropagationBudget int64   `json:"propagation_budget,omitempty"`
 	RetryBudgets      []int64 `json:"retry_budgets,omitempty"`
 }

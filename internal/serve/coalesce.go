@@ -27,7 +27,7 @@ type flight struct {
 // the vcache fingerprints of every verification unit the rule expands to
 // — exactly the content addresses the cache will store results under —
 // plus the outcome-affecting options the unit fingerprints don't already
-// embed (per-unit timeout, escalation ladder, solver freshness). Two
+// embed (per-unit timeout, escalation ladder). Two
 // requests with equal keys are guaranteed to produce identical verdicts,
 // so solving once is sound. ok=false means the rule has an
 // unfingerprintable unit (zero assignments, or preparation failed) and
@@ -35,9 +35,8 @@ type flight struct {
 func (s *Server) flightKey(v *core.Verifier, rule *isle.Rule) (string, bool) {
 	sigs := v.Sigs(rule)
 	sections := make([]string, 0, len(sigs)+1)
-	sections = append(sections, fmt.Sprintf("opts timeout=%d ladder=%v fresh=%v noip=%v nosh=%v",
-		v.Opts.Timeout.Nanoseconds(), v.Opts.RetryBudgets, v.Opts.FreshSolvers,
-		v.Opts.NoInprocess, v.Opts.NoStructHash))
+	sections = append(sections, fmt.Sprintf("opts timeout=%d ladder=%v",
+		v.Opts.Timeout.Nanoseconds(), v.Opts.RetryBudgets))
 	for _, sig := range sigs {
 		fp, ok, err := v.FingerprintInstantiation(rule, sig)
 		if err != nil || !ok {

@@ -606,9 +606,6 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 		RetryBudgets:      req.RetryBudgets,
 		Custom:            custom,
 		Cache:             s.cache,
-		FreshSolvers:      req.Fresh,
-		NoInprocess:       req.NoInprocess,
-		NoStructHash:      req.NoStructHash,
 		Scheduler:         s.pool,
 	})
 	rr, coalesced, queueWait, status, err := s.verifyRuleCoalesced(ctx, v, rule)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -243,6 +244,55 @@ func TestVerifyRequestErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/verify: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestVerifyRejectsEngineSwitches: solver pipeline and engine switches
+// are not part of the wire API. A body carrying one is an unknown field
+// to the strict decoder, so it gets a 400 before any unit reaches the
+// worker pool.
+func TestVerifyRejectsEngineSwitches(t *testing.T) {
+	s := newTestServer(t, Config{MaxInflight: 1})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	post := func(body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, buf.Bytes()
+	}
+	for _, field := range []string{"fresh", "no_inprocess", "no_structhash"} {
+		status, body := post(`{"corpus":"midend","rule":"bor_band_not_fixed","` + field + `":true}`)
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", field, status, body)
+		}
+		var er ErrorResponse
+		if err := json.Unmarshal(body, &er); err != nil || !strings.Contains(er.Error, field) {
+			t.Errorf("%s: error body %q does not name the field", field, body)
+		}
+	}
+	if n := s.pool.Stats().Executed; n != 0 {
+		t.Fatalf("rejected requests ran %d units on the pool", n)
+	}
+	if n := s.Registry().Counter("serve.solve.rules").Value(); n != 0 {
+		t.Fatalf("rejected requests reached the solver %d times", n)
+	}
+
+	// The same body without the switch is served, so the check above is
+	// not vacuous.
+	if status, body := post(`{"corpus":"midend","rule":"bor_band_not_fixed"}`); status != http.StatusOK {
+		t.Fatalf("plain request: status %d (%s)", status, body)
+	}
+	if s.pool.Stats().Executed == 0 {
+		t.Fatal("plain request ran no units on the pool")
 	}
 }
 
