@@ -60,7 +60,7 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: table1, fig4, coverage, knownbugs, newbugs, all")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-unit solver deadline")
 	distinct := flag.Bool("distinct", false, "run the distinct-models check during table1")
-	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent verification workers during table1 (1 = sequential, <= 0 = all CPUs)")
+	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent verification workers during table1 (1 = one worker, <= 0 = all CPUs)")
 	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
 	budget := flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
 	retryBudgets := flag.String("retry-budgets", "", "timeout-escalation ladder: comma-separated propagation budgets to retry timed-out units at (ascending; 0 = unlimited final rung)")

@@ -93,13 +93,7 @@ func displayFromWire(v *serve.RuleVerdict) ruleDisplay {
 			Escalations: iv.Escalations,
 			SingleModel: iv.DistinctInputs != nil && !*iv.DistinctInputs,
 			Duration:    time.Duration(iv.DurationNS),
-			Stats: crocus.SolverStats{
-				Propagations: iv.Stats.Propagations,
-				Conflicts:    iv.Stats.Conflicts,
-				Decisions:    iv.Stats.Decisions,
-				Queries:      iv.Stats.Queries,
-				Restarts:     iv.Stats.Restarts,
-			},
+			Stats:       iv.Stats,
 		}
 		if id.SigStr == "" {
 			id.SigStr = "<nil>"

@@ -118,7 +118,7 @@ func main() {
 	corpusName := flag.String("corpus", "aarch64", "embedded corpus: aarch64, x64, midend, or bug:<id>")
 	custom := flag.Bool("custom-vc", false, "apply the corpus's custom verification conditions")
 	overlap := flag.Bool("overlap", false, "run the multi-rule overlap/priority analysis instead of verification")
-	parallel := flag.Int("parallel", 1, "concurrent verification workers scheduling (rule, instantiation) units work-stealingly (1 = sequential, <= 0 = all CPUs)")
+	parallel := flag.Int("parallel", 1, "concurrent verification workers scheduling (rule, instantiation) units work-stealingly (1 = one worker, <= 0 = all CPUs)")
 	stats := flag.Bool("stats", false, "print cumulative SAT statistics (propagations/conflicts/decisions/queries) per rule")
 	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
 	budget := flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")

@@ -24,9 +24,14 @@ import (
 // (machine-independent), and the generous wall deadline keeps delay
 // faults from turning decided units into wall-clock timeouts.
 func chaosOpts() core.Options {
+	return chaosOptsAt(4)
+}
+
+// chaosOptsAt is chaosOpts on a pool of par workers.
+func chaosOptsAt(par int) core.Options {
 	return core.Options{
 		Timeout:           60 * time.Second,
-		Parallelism:       4,
+		Parallelism:       par,
 		PropagationBudget: 200_000,
 	}
 }
@@ -60,7 +65,8 @@ func sweep(t *testing.T, load func() (*isle.Program, error), opts core.Options) 
 // under injected solver errors, scheduler panics, and delays, every
 // unit's outcome is either the clean run's outcome or an explicit
 // OutcomeError. A decided verdict must never flip to a different decided
-// verdict.
+// verdict. Each fault spec is armed on a four-worker sweep and on a
+// one-worker sweep; both run the same unit path.
 func TestFaultArmedSweepNeverFlipsVerdicts(t *testing.T) {
 	defer faultinject.Reset()
 	faultinject.Reset()
@@ -79,43 +85,52 @@ func TestFaultArmedSweepNeverFlipsVerdicts(t *testing.T) {
 		"smt.solve=error:0.2,sat.solve=error:0.1,sched.run=panic:0.1,seed=5",
 	} {
 		t.Run(spec, func(t *testing.T) {
-			if err := faultinject.Arm(spec); err != nil {
-				t.Fatal(err)
+			for _, par := range []int{4, 1} {
+				armedSweepNeverFlips(t, spec, par, clean)
 			}
-			defer faultinject.Reset()
-			armed := sweep(t, corpus.LoadX64, chaosOpts())
-			if len(armed) != len(clean) {
-				t.Fatalf("armed sweep has %d units, clean %d", len(armed), len(clean))
-			}
-			flipped, errored := 0, 0
-			for unit, want := range clean {
-				got, ok := armed[unit]
-				if !ok {
-					t.Fatalf("unit %q missing from armed sweep", unit)
-				}
-				switch got {
-				case want:
-				case core.OutcomeError.String():
-					errored++
-				default:
-					flipped++
-					t.Errorf("unit %q: clean %q, armed %q — injected fault flipped a verdict", unit, want, got)
-				}
-			}
-			if flipped > 0 {
-				t.Fatalf("%d verdicts flipped under %s", flipped, spec)
-			}
-			snap := faultinject.Snapshot()
-			triggered := uint64(0)
-			for _, st := range snap {
-				triggered += st.Triggered
-			}
-			if triggered == 0 {
-				t.Fatalf("no fault triggered under %s; the run is vacuous (%d errored)", spec, errored)
-			}
-			t.Logf("%s: %d/%d units errored, %d faults triggered, 0 flipped", spec, errored, len(clean), triggered)
 		})
 	}
+}
+
+// armedSweepNeverFlips arms spec, sweeps x64 on par workers, and checks
+// every unit against the clean sweep: the same outcome or OutcomeError,
+// with at least one fault triggered.
+func armedSweepNeverFlips(t *testing.T, spec string, par int, clean map[string]string) {
+	t.Helper()
+	if err := faultinject.Arm(spec); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	armed := sweep(t, corpus.LoadX64, chaosOptsAt(par))
+	if len(armed) != len(clean) {
+		t.Fatalf("p%d: armed sweep has %d units, clean %d", par, len(armed), len(clean))
+	}
+	flipped, errored := 0, 0
+	for unit, want := range clean {
+		got, ok := armed[unit]
+		if !ok {
+			t.Fatalf("p%d: unit %q missing from armed sweep", par, unit)
+		}
+		switch got {
+		case want:
+		case core.OutcomeError.String():
+			errored++
+		default:
+			flipped++
+			t.Errorf("p%d: unit %q: clean %q, armed %q — injected fault flipped a verdict", par, unit, want, got)
+		}
+	}
+	if flipped > 0 {
+		t.Fatalf("p%d: %d verdicts flipped under %s", par, flipped, spec)
+	}
+	triggered := uint64(0)
+	for _, st := range faultinject.Snapshot() {
+		triggered += st.Triggered
+	}
+	if triggered == 0 {
+		t.Fatalf("p%d: no fault triggered under %s; the run is vacuous (%d errored)", par, spec, errored)
+	}
+	t.Logf("p%d %s: %d/%d units errored, %d faults triggered, 0 flipped", par, spec, errored, len(clean), triggered)
 }
 
 // TestInjectedErrorsNeverPoisonCache: a fault-armed run with a cache

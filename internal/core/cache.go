@@ -216,13 +216,7 @@ func (v *Verifier) recordOutcome(c *vcache.Cache, key string, rule *isle.Rule, s
 		Outcome:     io.Outcome.String(),
 		ElapsedNS:   elapsed.Nanoseconds(),
 		Assignments: io.Assignments,
-		Stats: vcache.SolverStats{
-			Propagations: io.Stats.Propagations,
-			Conflicts:    io.Stats.Conflicts,
-			Decisions:    io.Stats.Decisions,
-			Queries:      io.Stats.Queries,
-			Restarts:     io.Stats.Restarts,
-		},
+		Stats:       vcache.SolverStats(io.Stats),
 	}
 	if io.Outcome == OutcomeTimeout {
 		e.TriedTimeoutNS = v.Opts.Timeout.Nanoseconds()
@@ -256,13 +250,7 @@ func applyEntry(e vcache.Entry, io *InstOutcome) error {
 	io.Outcome = out
 	io.Assignments = e.Assignments
 	io.Cached = true
-	io.Stats = SolverStats{
-		Propagations: e.Stats.Propagations,
-		Conflicts:    e.Stats.Conflicts,
-		Decisions:    e.Stats.Decisions,
-		Queries:      e.Stats.Queries,
-		Restarts:     e.Stats.Restarts,
-	}
+	io.Stats = SolverStats(e.Stats)
 	if e.DistinctInputs != nil {
 		d := *e.DistinctInputs
 		io.DistinctInputs = &d

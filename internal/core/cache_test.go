@@ -24,13 +24,15 @@ const cacheRules = `
 		(a64_rotr_64 x y))`
 
 // flatten collapses rule results to the fields cached replay must
-// preserve: outcome, counterexample, distinctness, assignment count.
+// preserve: outcome, counterexample, distinctness, assignment count and
+// every SAT counter.
 type flatInst struct {
 	Rule, Sig   string
 	Outcome     Outcome
 	Rendered    string
 	Distinct    *bool
 	Assignments int
+	Stats       SolverStats
 }
 
 func flatten(t *testing.T, rs []*RuleResult) []flatInst {
@@ -43,6 +45,7 @@ func flatten(t *testing.T, rs []*RuleResult) []flatInst {
 				Outcome:     io.Outcome,
 				Distinct:    io.DistinctInputs,
 				Assignments: io.Assignments,
+				Stats:       io.Stats,
 			}
 			if io.Sig != nil {
 				fi.Sig = io.Sig.String()

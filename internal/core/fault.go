@@ -8,16 +8,17 @@ import (
 	"crocus/internal/isle"
 )
 
-// PanicError is the diagnostics bundle for a panic contained during rule
+// PanicError is the diagnostics bundle for a panic contained during unit
 // verification: which rule and type instantiation were being verified,
-// the recovered value, and the goroutine stack at the panic site. Sweeps degrade the
-// fault to an OutcomeError result instead of crashing (Crux treats
-// solver-backend failure as a first-class, recoverable outcome).
+// the recovered value, and the goroutine stack at the panic site. The
+// unit's fault degrades to an OutcomeError outcome instead of crashing
+// (Crux treats solver-backend failure as a first-class, recoverable
+// outcome).
 type PanicError struct {
 	// Rule is the name of the rule being verified.
 	Rule string
-	// Sig is the active type instantiation, or "" when the fault happened
-	// before one was selected (e.g. during monomorphization).
+	// Sig is the unit's type instantiation, or "" for a rule whose root
+	// is not instantiated (mid-end rules).
 	Sig string
 	// Value is the recovered panic value.
 	Value any
@@ -48,11 +49,4 @@ func newPanicError(rule *isle.Rule, sig *isle.Sig, val any) *PanicError {
 func isPanicErr(err error) bool {
 	var pe *PanicError
 	return errors.As(err, &pe)
-}
-
-// erroredResult wraps a contained per-rule fault as a RuleResult with a
-// single OutcomeError instantiation carrying the fault, so sweeps report
-// the rule as errored instead of dying.
-func erroredResult(rule *isle.Rule, err error) *RuleResult {
-	return &RuleResult{Rule: rule, Insts: []InstOutcome{{Outcome: OutcomeError, Err: err}}}
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"crocus/internal/smt"
@@ -24,13 +26,13 @@ const faultRules = `
 		(a64_add ty x y))`
 
 // panicVC returns a custom verification condition whose Condition panics
-// on every call after the first skip invocations.
-func panicVC(skip int) *CustomVC {
-	calls := 0
+// on every call after the first skip invocations. The counter is atomic:
+// on a pool of several workers the rule's units call it concurrently.
+func panicVC(skip int64) *CustomVC {
+	var calls atomic.Int64
 	return &CustomVC{
 		Condition: func(ctx *VCContext) (smt.TermID, error) {
-			calls++
-			if calls > skip {
+			if calls.Add(1) > skip {
 				panic("injected fault")
 			}
 			return ctx.B.Eq(ctx.LHSResult, ctx.RHSResult), nil
@@ -39,8 +41,9 @@ func panicVC(skip int) *CustomVC {
 }
 
 // TestPanicContainedAsError: a rule whose pipeline panics under both the
-// first attempt and the retry is reported as
-// OutcomeError carrying a *PanicError — not a crash, not an error return.
+// first attempt and the retry is reported as one OutcomeError per
+// instantiation, each carrying a *PanicError for that unit — not a
+// crash, not an error return.
 func TestPanicContainedAsError(t *testing.T) {
 	v := buildVerifier(t, faultRules, Options{
 		Custom: map[string]*CustomVC{"iadd_base": panicVC(0)},
@@ -49,18 +52,25 @@ func TestPanicContainedAsError(t *testing.T) {
 	if rr.Outcome() != OutcomeError {
 		t.Fatalf("outcome = %v, want error", rr.Outcome())
 	}
-	if len(rr.Insts) != 1 || rr.Insts[0].Err == nil {
-		t.Fatalf("want one errored instantiation carrying the fault, got %+v", rr.Insts)
+	sigs := v.Sigs(rr.Rule)
+	if len(rr.Insts) != len(sigs) {
+		t.Fatalf("%d outcomes for %d instantiations: %+v", len(rr.Insts), len(sigs), rr.Insts)
 	}
-	var pe *PanicError
-	if !errors.As(rr.Insts[0].Err, &pe) {
-		t.Fatalf("Err = %v, want *PanicError", rr.Insts[0].Err)
-	}
-	if pe.Rule != "iadd_base" || pe.Stack == "" {
-		t.Errorf("diagnostics bundle incomplete: rule=%q stack len=%d", pe.Rule, len(pe.Stack))
-	}
-	if !strings.Contains(pe.Error(), "injected fault") {
-		t.Errorf("Error() = %q, want the panic value", pe.Error())
+	for i, io := range rr.Insts {
+		if io.Outcome != OutcomeError {
+			t.Errorf("inst %d: outcome = %v, want error", i, io.Outcome)
+		}
+		var pe *PanicError
+		if !errors.As(io.Err, &pe) {
+			t.Fatalf("inst %d: Err = %v, want *PanicError", i, io.Err)
+		}
+		if pe.Rule != "iadd_base" || pe.Sig != sigs[i].String() || pe.Stack == "" {
+			t.Errorf("inst %d: diagnostics bundle incomplete: rule=%q sig=%q (want %q) stack len=%d",
+				i, pe.Rule, pe.Sig, sigs[i], len(pe.Stack))
+		}
+		if !strings.Contains(pe.Error(), "injected fault") {
+			t.Errorf("inst %d: Error() = %q, want the panic value", i, pe.Error())
+		}
 	}
 	if rr.AllSuccess() {
 		t.Error("AllSuccess must be false for an errored rule")
@@ -96,8 +106,11 @@ func TestPanicRetriedFresh(t *testing.T) {
 
 // TestSweepFaultIsolationDifferential: injecting a panic into one rule
 // must leave every other rule's verdict byte-identical to a clean sweep,
-// and the sweep itself must complete (the acceptance differential).
+// and the sweep itself must complete (the acceptance differential). One
+// worker and three run the same unit path, so their faulted sweeps match
+// unit for unit: outcome, sig and fault text.
 func TestSweepFaultIsolationDifferential(t *testing.T) {
+	faultedUnits := map[int][]string{}
 	for _, par := range []int{1, 3} {
 		clean := buildVerifier(t, faultRules, Options{Parallelism: par})
 		cleanRes, err := clean.VerifyAll()
@@ -116,6 +129,13 @@ func TestSweepFaultIsolationDifferential(t *testing.T) {
 			t.Fatalf("parallelism %d: %d results, want %d", par, len(faultRes), len(cleanRes))
 		}
 		for i, rr := range faultRes {
+			for _, io := range rr.Insts {
+				u := fmt.Sprintf("%s %v %s", rr.Rule.Name, io.Sig, io.Outcome)
+				if io.Err != nil {
+					u += ": " + io.Err.Error()
+				}
+				faultedUnits[par] = append(faultedUnits[par], u)
+			}
 			if rr.Rule.Name == "iadd_base" {
 				if rr.Outcome() != OutcomeError {
 					t.Errorf("parallelism %d: injected rule outcome = %v, want error", par, rr.Outcome())
@@ -127,6 +147,9 @@ func TestSweepFaultIsolationDifferential(t *testing.T) {
 					par, rr.Rule.Name, outcomes(rr), outcomes(cleanRes[i]))
 			}
 		}
+	}
+	if !reflect.DeepEqual(faultedUnits[1], faultedUnits[3]) {
+		t.Errorf("faulted sweeps differ by parallelism:\np1: %q\np3: %q", faultedUnits[1], faultedUnits[3])
 	}
 }
 

@@ -233,6 +233,10 @@ func (v *Verifier) monomorphize(rule *isle.Rule, sig *isle.Sig) (*ruleAnalysis, 
 	return ra, assigns, nil
 }
 
+// candidateWidths is the domain monomorphization enumerates for type
+// variables the two inference passes cannot pin.
+var candidateWidths = []int{8, 16, 32, 64}
+
 // inferAssignments runs constant seeding, propagation, and the
 // enumeration of remaining primary unknowns for an analyzed (and
 // possibly sig-pinned) rule, returning every complete assignment.
@@ -268,7 +272,6 @@ func (v *Verifier) inferAssignments(ra *ruleAnalysis) ([]*assignment, error) {
 		return nil, fmt.Errorf("too many unresolved type variables (%d)",
 			len(unknownBV)+len(unknownInt))
 	}
-	doms := v.widthDomain()
 	all := append(append([]tvar{}, unknownBV...), unknownInt...)
 	var results []*assignment
 	var enumerate func(i int, cur *assignment)
@@ -285,7 +288,7 @@ func (v *Verifier) inferAssignments(ra *ruleAnalysis) ([]*assignment, error) {
 			return
 		}
 		s := all[i]
-		for _, w := range doms {
+		for _, w := range candidateWidths {
 			next := cur.clone()
 			var ok bool
 			if i < len(unknownBV) {
@@ -300,13 +303,6 @@ func (v *Verifier) inferAssignments(ra *ruleAnalysis) ([]*assignment, error) {
 	}
 	enumerate(0, base)
 	return results, nil
-}
-
-func (v *Verifier) widthDomain() []int {
-	if len(v.Opts.Widths) > 0 {
-		return v.Opts.Widths
-	}
-	return []int{8, 16, 32, 64}
 }
 
 // propagate applies the deferred constraints to fixpoint, writing concrete

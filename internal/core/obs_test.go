@@ -23,9 +23,11 @@ const obsTestRules = `
 // TestTracedVerdictsUnchanged is the observability safety contract: the
 // same sweep run with and without a tracer must produce identical
 // verdicts, and the traced run must cover the pipeline's span taxonomy.
+// One worker and two run the same unit path, so they record the same
+// set of span names.
 func TestTracedVerdictsUnchanged(t *testing.T) {
-	collect := func(ctx context.Context) [][]Outcome {
-		v := buildVerifier(t, obsTestRules, Options{})
+	collect := func(ctx context.Context, par int) [][]Outcome {
+		v := buildVerifier(t, obsTestRules, Options{Parallelism: par})
 		rs, err := v.VerifyAllContext(ctx)
 		if err != nil {
 			t.Fatal(err)
@@ -37,46 +39,58 @@ func TestTracedVerdictsUnchanged(t *testing.T) {
 		return out
 	}
 
-	plain := collect(context.Background())
-	tr := obs.New()
-	traced := collect(obs.WithTracer(context.Background(), tr))
+	spanNames := map[int]map[string]int{}
+	for _, par := range []int{1, 2} {
+		plain := collect(context.Background(), par)
+		tr := obs.New()
+		traced := collect(obs.WithTracer(context.Background(), tr), par)
 
-	if len(plain) != len(traced) {
-		t.Fatalf("rule counts differ: %d vs %d", len(plain), len(traced))
-	}
-	for i := range plain {
-		if len(plain[i]) != len(traced[i]) {
-			t.Fatalf("rule %d: instantiation counts differ", i)
+		if len(plain) != len(traced) {
+			t.Fatalf("p%d: rule counts differ: %d vs %d", par, len(plain), len(traced))
 		}
-		for j := range plain[i] {
-			if plain[i][j] != traced[i][j] {
-				t.Errorf("rule %d inst %d: verdict %v with tracer, %v without",
-					i, j, traced[i][j], plain[i][j])
+		for i := range plain {
+			if len(plain[i]) != len(traced[i]) {
+				t.Fatalf("p%d: rule %d: instantiation counts differ", par, i)
+			}
+			for j := range plain[i] {
+				if plain[i][j] != traced[i][j] {
+					t.Errorf("p%d: rule %d inst %d: verdict %v with tracer, %v without",
+						par, i, j, traced[i][j], plain[i][j])
+				}
 			}
 		}
-	}
 
-	phases := map[string]int{}
-	for _, ev := range tr.Events() {
-		phases[ev.Name]++
+		phases := map[string]int{}
+		scopes := map[string]bool{}
+		for _, ev := range tr.Events() {
+			phases[ev.Name]++
+			scopes[ev.Scope] = true
+		}
+		for _, want := range []string{
+			obs.PhaseUnit, obs.PhaseMonomorphize, obs.PhaseElaborate,
+			obs.PhaseAttempt, obs.PhaseQueryApp, obs.PhaseQueryEquiv,
+			obs.PhaseSolveEqs, obs.PhaseSimplify, obs.PhaseUnits,
+			obs.PhaseBlast, obs.PhaseSolve,
+		} {
+			if phases[want] == 0 {
+				t.Errorf("p%d: no %s span recorded (phases: %v)", par, want, phases)
+			}
+		}
+		// Spans must be scoped to the rules they verified.
+		if !scopes["iadd_base"] || !scopes["broken_rotr"] {
+			t.Errorf("p%d: rule scopes missing: %v", par, scopes)
+		}
+		spanNames[par] = phases
 	}
-	for _, want := range []string{
-		obs.PhaseRule, obs.PhaseMonomorphize, obs.PhaseElaborate,
-		obs.PhaseAttempt, obs.PhaseQueryApp, obs.PhaseQueryEquiv,
-		obs.PhaseSolveEqs, obs.PhaseSimplify, obs.PhaseUnits,
-		obs.PhaseBlast, obs.PhaseSolve,
-	} {
-		if phases[want] == 0 {
-			t.Errorf("no %s span recorded (phases: %v)", want, phases)
+	for name := range spanNames[1] {
+		if spanNames[2][name] == 0 {
+			t.Errorf("span %q recorded at p1 but not at p2", name)
 		}
 	}
-	// Spans must be scoped to the rules they verified.
-	scopes := map[string]bool{}
-	for _, ev := range tr.Events() {
-		scopes[ev.Scope] = true
-	}
-	if !scopes["iadd_base"] || !scopes["broken_rotr"] {
-		t.Errorf("rule scopes missing: %v", scopes)
+	for name := range spanNames[2] {
+		if spanNames[1][name] == 0 {
+			t.Errorf("span %q recorded at p2 but not at p1", name)
+		}
 	}
 }
 

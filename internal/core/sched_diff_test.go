@@ -2,9 +2,9 @@ package core_test
 
 // Scheduling-independence tests: every verification unit solves on its
 // own builder and session, so a unit's result is a function of the unit
-// alone. A serial sweep (Parallelism 1, rule-level containment) and a
-// unit-scheduled sweep (Parallelism 4, work stealing) must therefore
-// agree exactly on every unit, timeouts included: outcome,
+// alone. A one-worker sweep (Parallelism 1) and a four-worker sweep
+// (Parallelism 4, work stealing) must therefore agree exactly on every
+// unit, timeouts included: outcome,
 // distinct-models verdict, rendered counterexample bytes, and the SAT
 // work of every query (SolverStats). Budgets are propagation counts,
 // never the wall clock, so the comparison is machine-independent.

@@ -19,9 +19,9 @@ import (
 	"crocus/internal/vcache"
 )
 
-// atomicPanicVC returns a custom VC whose Condition always panics. The
-// call counter is atomic because under unit scheduling the Condition runs
-// concurrently on several workers (unlike fault_test.go's serial panicVC).
+// atomicPanicVC returns a custom VC whose Condition always panics, and
+// its call counter (atomic: on several workers the Condition runs
+// concurrently).
 func atomicPanicVC() (*CustomVC, *atomic.Int64) {
 	var calls atomic.Int64
 	return &CustomVC{
@@ -76,8 +76,7 @@ func TestScheduledPanicContainedPerUnit(t *testing.T) {
 	for i, rr := range faultRes {
 		if rr.Rule.Name == "iadd_base" {
 			// Unit-level containment: every unit degrades independently,
-			// so the rule carries one errored instantiation per unit —
-			// not the serial path's single rule-level error.
+			// so the rule carries one errored instantiation per unit.
 			if rr.Outcome() != OutcomeError {
 				t.Errorf("injected rule outcome = %v, want error", rr.Outcome())
 			}
@@ -99,10 +98,10 @@ func TestScheduledPanicContainedPerUnit(t *testing.T) {
 	}
 }
 
-// TestScheduledCancelMidSweep: canceling a unit-scheduled sweep returns
-// only completed rules, in source order, with ctx.Err(). Unlike the
-// rule-parallel serial contract there is no guaranteed prefix — units
-// complete out of order — but no partial rule may ever appear.
+// TestScheduledCancelMidSweep: canceling a sweep on several workers
+// returns only completed rules, in source order, with ctx.Err(). Unlike
+// one worker there is no guaranteed prefix — units complete out of
+// order — but no partial rule may ever appear.
 func TestScheduledCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var fired atomic.Bool

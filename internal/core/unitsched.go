@@ -1,18 +1,20 @@
 package core
 
-// Unit-level scheduling: VerifyAllContext and (with an injected
-// scheduler) VerifyRuleContext decompose work into verification units —
-// one (rule, type instantiation) solve — and run them on a
-// work-stealing pool (internal/sched). Every unit owns its builder and
-// solver session (see verifyInstantiation), so which worker runs a unit
-// never changes its verdict. This file holds the pieces that keep the
-// rule-level contracts intact at unit granularity:
+// Unit-level scheduling: every entry point (VerifyAllContext,
+// VerifyRuleContext, VerifyRuleContained) decomposes its rules into
+// verification units — one (rule, type instantiation) solve — and runs
+// them on a work-stealing pool (internal/sched): Options.Scheduler when
+// injected, else a transient pool of Options.Parallelism workers. Every
+// unit owns its builder and solver session (see verifyInstantiation), so
+// which worker runs a unit never changes its verdict. This file holds
+// the pieces every entry point shares:
 //
-//   - verifyUnitContained: PR 4's containment ladder per unit — panic
+//   - verifyUnitContained: the containment ladder per unit — panic
 //     recovered, one retry on a new session, persisting faults degrade
 //     to OutcomeError for that unit only.
 //   - assembly: results are assembled in source order from per-slot
 //     writes, so scheduling and stealing order never leak into output.
+//   - tracing: each unit's root span is sched.unit, scoped by rule.
 
 import (
 	"context"
@@ -32,8 +34,7 @@ type unitSlot struct {
 }
 
 // verifyUnitAttempt runs one unit attempt, converting any panic in the
-// monomorphize/elaborate/blast/solve stack into a *PanicError (the
-// per-unit analogue of verifyRuleAttempt).
+// monomorphize/elaborate/blast/solve stack into a *PanicError.
 func (v *Verifier) verifyUnitAttempt(ctx context.Context, rule *isle.Rule, sig *isle.Sig) (io *InstOutcome, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -47,12 +48,12 @@ func (v *Verifier) verifyUnitAttempt(ctx context.Context, rule *isle.Rule, sig *
 	return io, nil
 }
 
-// verifyUnitContained verifies one unit with sweep-grade fault
-// isolation, mirroring VerifyRuleContext's ladder at unit granularity:
-// a faulting attempt is retried once (on a new session, like every
+// verifyUnitContained verifies one unit with fault isolation: a
+// faulting attempt is retried once (on a new session, like every
 // attempt); a persisting fault degrades to an OutcomeError outcome for
-// this unit only. Returns a nil slot.io only when the context was
-// canceled before the unit completed.
+// this unit only, carrying the panic's diagnostics when either attempt
+// panicked. Returns a nil slot.io only when the context was canceled
+// before the unit completed.
 func (v *Verifier) verifyUnitContained(ctx context.Context, rule *isle.Rule, sig *isle.Sig) unitSlot {
 	io, err := v.verifyUnitAttempt(ctx, rule, sig)
 	if err == nil {
@@ -103,11 +104,11 @@ func (v *Verifier) unitTask(ctx context.Context, rule *isle.Rule, sig *isle.Sig,
 // assembleRule builds one rule's result from its unit slots, in sig
 // order (sigs[j] is slot j's instantiation). ok is false when the rule
 // is incomplete (a unit never ran because the sweep was canceled) — the
-// rule is then omitted from results, matching the serial path's
-// "completed rules only" contract. An empty slot without cancellation
-// (the unit's task died before it could write — e.g. an injected
-// sched.run panic unwound past the containment ladder) degrades to a
-// contained error carrying the unit's sig, rather than a silent gap.
+// rule is then omitted from results ("completed rules only"). An empty
+// slot without cancellation (the unit's task died before it could
+// write — e.g. an injected sched.run panic unwound past the containment
+// ladder) degrades to a contained error carrying the unit's sig, rather
+// than a silent gap.
 func (v *Verifier) assembleRule(ctx context.Context, rule *isle.Rule, sigs []*isle.Sig, slots []unitSlot) (rr *RuleResult, ok bool) {
 	rr = &RuleResult{Rule: rule}
 	for j, s := range slots {
@@ -133,54 +134,37 @@ func (v *Verifier) assembleRule(ctx context.Context, rule *isle.Rule, sigs []*is
 	return rr, true
 }
 
-// verifyAllScheduled is the unit-scheduled sweep behind
-// VerifyAllContext: expand every rule into units in source order,
-// run them on the pool, and assemble results back in source order.
-func (v *Verifier) verifyAllScheduled(ctx context.Context, rules []*isle.Rule, pool *sched.Pool) ([]*RuleResult, error) {
+// verifyRules expands rules into units in source order, runs them on
+// Options.Scheduler (or a transient pool of min(Parallelism, units)
+// workers, at least one) and assembles the results back in source order.
+// Rules left incomplete by cancellation are omitted.
+func (v *Verifier) verifyRules(ctx context.Context, rules []*isle.Rule) []*RuleResult {
 	sigs := make([][]*isle.Sig, len(rules))
 	slots := make([][]unitSlot, len(rules))
-	total := 0
+	var tasks []sched.Task
 	for i, r := range rules {
 		sigs[i] = v.Sigs(r)
 		slots[i] = make([]unitSlot, len(sigs[i]))
-		total += len(sigs[i])
-	}
-	tasks := make([]sched.Task, 0, total)
-	for i, r := range rules {
 		for j, sig := range sigs[i] {
 			tasks = append(tasks, v.unitTask(ctx, r, sig, &slots[i][j]))
 		}
 	}
-	pool.RunBatch(tasks)
+	if pool := v.Opts.Scheduler; pool != nil {
+		pool.RunBatch(tasks)
+	} else {
+		// Close the transient pool the moment its batch is done: its
+		// idle workers are still in their first spins then, before the
+		// backoff's timed sleeps, which Close would have to wait out.
+		pool = sched.NewPool(min(max(v.Opts.Parallelism, 1), len(tasks)), obs.Get(ctx).Registry())
+		pool.RunBatch(tasks)
+		pool.Close()
+	}
 
 	results := make([]*RuleResult, 0, len(rules))
 	for i, r := range rules {
-		rr, ok := v.assembleRule(ctx, r, sigs[i], slots[i])
-		if !ok {
-			continue
+		if rr, ok := v.assembleRule(ctx, r, sigs[i], slots[i]); ok {
+			results = append(results, rr)
 		}
-		results = append(results, v.dropIfForeign(rr)...)
 	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
-}
-
-// verifyRuleScheduled runs one rule's units on the injected pool (the
-// daemon's request path), with per-unit containment. Returns nil only
-// when the context was canceled before the rule completed.
-func (v *Verifier) verifyRuleScheduled(ctx context.Context, pool *sched.Pool, rule *isle.Rule) *RuleResult {
-	sigs := v.Sigs(rule)
-	slots := make([]unitSlot, len(sigs))
-	tasks := make([]sched.Task, len(sigs))
-	for j, sig := range sigs {
-		tasks[j] = v.unitTask(ctx, rule, sig, &slots[j])
-	}
-	pool.RunBatch(tasks)
-	rr, ok := v.assembleRule(ctx, rule, sigs, slots)
-	if !ok {
-		return nil
-	}
-	return rr
+	return results
 }

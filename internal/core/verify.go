@@ -89,18 +89,16 @@ type Options struct {
 	// DistinctModels enables the optional §3.2.1 check that at least two
 	// distinct input assignments match the rule.
 	DistinctModels bool
-	// Widths is the candidate domain for type variables the two inference
-	// passes cannot pin (default 8,16,32,64).
-	Widths []int
 	// Custom maps rule names to custom verification conditions.
 	Custom map[string]*CustomVC
-	// Parallelism is the number of workers VerifyAll schedules
-	// verification units onto (0 or 1 = sequential). The unit of
-	// scheduling is one (rule, type instantiation) solve, distributed
-	// through a work-stealing pool (internal/sched), so one timeout-tail
-	// rule no longer serializes a sweep; results keep source order
-	// regardless of execution order. The CLIs and the daemon normalize
-	// values <= 0 to runtime.NumCPU() before constructing Options.
+	// Parallelism sizes the transient work-stealing pool (internal/sched)
+	// that verification runs its units on when no Scheduler is injected:
+	// min(Parallelism, units) workers, at least one (0 or 1 = one
+	// worker). The unit of scheduling is one (rule, type instantiation)
+	// solve, so one timeout-tail rule no longer serializes a sweep;
+	// results keep source order regardless of execution order. The CLIs
+	// and the daemon normalize values <= 0 to runtime.NumCPU() before
+	// constructing Options.
 	Parallelism int
 	// CacheDir enables the incremental-verification result cache
 	// (internal/vcache): verification units whose content fingerprint is
@@ -123,10 +121,8 @@ type Options struct {
 	// units on instead of a per-sweep transient pool — long-running
 	// hosts (crocus-serve) size one pool at admission capacity and
 	// schedule every request's units onto it, so -max-inflight admission
-	// and unit scheduling share a single queue. With a Scheduler set,
-	// VerifyRuleContext also schedules (per-unit fault containment:
-	// failing units degrade to OutcomeError instead of returning an
-	// error). The pool's lifetime belongs to the caller.
+	// and unit scheduling share a single queue. The pool's lifetime
+	// belongs to the caller.
 	Scheduler *sched.Pool
 	// NoInprocess disables CDCL inprocessing (bounded variable
 	// elimination, subsumption/self-subsuming resolution, vivification
@@ -183,25 +179,27 @@ type Counterexample struct {
 // SolverStats are cumulative SAT search statistics across a verification
 // unit's queries (applicability, distinctness, equivalence). The
 // propagation/conflict/decision counts are per-query deltas of the
-// unit's session, summed over its queries.
+// unit's session, summed over its queries. The JSON tags are the
+// daemon's wire form; the result cache stores the same counters as
+// vcache.SolverStats, whose field list must stay identical.
 type SolverStats struct {
-	Propagations int64
-	Conflicts    int64
-	Decisions    int64
+	Propagations int64 `json:"propagations"`
+	Conflicts    int64 `json:"conflicts"`
+	Decisions    int64 `json:"decisions"`
 	// Restarts counts CDCL restarts across the unit's queries; the
 	// rule-hardness profiler uses it to separate "search thrashing"
 	// timeouts from steady propagation grinds.
-	Restarts int64
+	Restarts int64 `json:"restarts,omitempty"`
 	// Queries is the number of SMT queries issued.
-	Queries int64
+	Queries int64 `json:"queries"`
 	// Inprocessing / structural-hashing work across the unit's queries:
 	// variables removed by bounded variable elimination, clauses deleted
 	// by subsumption, clauses shortened by vivification, and gate
 	// allocations avoided by structural hashing.
-	ElimVars         int64
-	Subsumed         int64
-	Vivified         int64
-	StructHashMerged int64
+	ElimVars         int64 `json:"elim_vars,omitempty"`
+	Subsumed         int64 `json:"subsumed,omitempty"`
+	Vivified         int64 `json:"vivified,omitempty"`
+	StructHashMerged int64 `json:"structhash_merged,omitempty"`
 }
 
 // Add accumulates other into s.
@@ -279,8 +277,8 @@ type InstOutcome struct {
 type RuleResult struct {
 	Rule  *isle.Rule
 	Insts []InstOutcome
-	// RetriedFresh reports that the first attempt faulted and this result
-	// came from the retry, which solves on new sessions.
+	// RetriedFresh reports that a unit's first attempt faulted and its
+	// outcome came from the retry, which solves on a new session.
 	RetriedFresh bool
 }
 
@@ -345,110 +343,38 @@ func (v *Verifier) VerifyRule(rule *isle.Rule) (*RuleResult, error) {
 	return v.VerifyRuleContext(context.Background(), rule)
 }
 
-// VerifyRuleContext is VerifyRule under a cancellation context, with
-// per-rule fault containment: a panic anywhere in the
-// elaborate/blast/solve pipeline is recovered, the rule is retried once
-// (every unit of the retry solves on a new session), and a persisting
-// panic is reported as a RuleResult with OutcomeError carrying a
-// *PanicError diagnostics bundle instead of crashing the process.
-// Non-panic errors (malformed corpus, missing annotations) are still
-// returned as errors. A canceled context returns ctx.Err() with no
-// result; nothing partial is cached.
+// VerifyRuleContext is VerifyRule under a cancellation context. The
+// rule's units run like a sweep's (see VerifyAllContext): a panicking
+// unit is retried once and, if the panic persists, reported as that
+// unit's OutcomeError carrying a *PanicError diagnostics bundle. A unit
+// fault that persists and is not a panic (malformed corpus, missing
+// annotation) is returned as the error. A canceled context returns
+// ctx.Err() with no result; nothing partial is cached.
 func (v *Verifier) VerifyRuleContext(ctx context.Context, rule *isle.Rule) (*RuleResult, error) {
-	if sc := obs.Get(ctx); sc != nil {
-		// Scope every span under this rule's name so the phase-breakdown
-		// table attributes pipeline time per rule.
-		ctx = obs.WithScope(ctx, rule.Name)
-		sp := obs.Start(ctx, obs.PhaseRule)
-		defer sp.End()
+	rr := v.VerifyRuleContained(ctx, rule)
+	if rr == nil {
+		return nil, ctx.Err()
 	}
-	if v.Opts.Scheduler != nil {
-		// Scheduled path: the rule's units run on the shared pool with
-		// per-unit containment (a faulting unit degrades to OutcomeError
-		// instead of surfacing as an error), results in sig order.
-		rr := v.verifyRuleScheduled(ctx, v.Opts.Scheduler, rule)
-		if rr == nil {
-			return nil, ctx.Err()
+	for _, io := range rr.Insts {
+		if io.Outcome == OutcomeError && io.Err != nil && !isPanicErr(io.Err) {
+			return nil, io.Err
 		}
-		return rr, nil
-	}
-	rr, err := v.verifyRuleAttempt(ctx, rule)
-	if err == nil {
-		return rr, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	fault := err
-	rr2, err2 := v.verifyRuleAttempt(ctx, rule)
-	if err2 == nil {
-		rr2.RetriedFresh = true
-		return rr2, nil
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return nil, cerr
-	}
-	// Keep whichever fault carries panic diagnostics.
-	if !isPanicErr(fault) && isPanicErr(err2) {
-		fault = err2
-	}
-	if isPanicErr(fault) {
-		return erroredResult(rule, fault), nil
-	}
-	return nil, fault
-}
-
-// verifyRuleAttempt runs one full verification attempt over the rule's
-// instantiations, converting any panic in the monomorphize/elaborate/
-// blast/solve stack into a *PanicError.
-func (v *Verifier) verifyRuleAttempt(ctx context.Context, rule *isle.Rule) (rr *RuleResult, err error) {
-	var cur *isle.Sig
-	defer func() {
-		if r := recover(); r != nil {
-			rr, err = nil, newPanicError(rule, cur, r)
-		}
-	}()
-	rr = &RuleResult{Rule: rule}
-	for _, sig := range v.Sigs(rule) {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, cerr
-		}
-		cur = sig
-		io, err := v.verifyInstantiation(ctx, rule, sig)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", rule, err)
-		}
-		if io.Skipped {
-			continue // another shard owns this unit
-		}
-		rr.Insts = append(rr.Insts, *io)
 	}
 	return rr, nil
 }
 
 // VerifyRuleContained verifies one rule with sweep-grade fault
-// isolation: panics AND plain errors degrade to a RuleResult with
-// OutcomeError so the caller's loop survives poisoned inputs. It
-// returns nil only when the context was canceled before the rule
-// completed. Exported for long-running hosts (crocus-serve) that keep a
-// resident Verifier and dispatch individual rules per request.
+// isolation: every persisting unit fault, panic or plain error, degrades
+// to that unit's OutcomeError so the caller's loop survives poisoned
+// inputs. It returns nil only when the context was canceled before the
+// rule completed. Exported for long-running hosts (crocus-serve) that
+// keep a resident Verifier and dispatch individual rules per request.
 func (v *Verifier) VerifyRuleContained(ctx context.Context, rule *isle.Rule) *RuleResult {
-	return v.verifyRuleContained(ctx, rule)
-}
-
-// verifyRuleContained verifies one rule for a sweep: panics AND plain
-// errors degrade to an OutcomeError result so the sweep survives. It
-// returns nil only when the context was canceled before the rule
-// completed.
-func (v *Verifier) verifyRuleContained(ctx context.Context, rule *isle.Rule) *RuleResult {
-	rr, err := v.VerifyRuleContext(ctx, rule)
-	if err == nil {
-		return rr
-	}
-	if ctx.Err() != nil {
+	rs := v.verifyRules(ctx, []*isle.Rule{rule})
+	if len(rs) == 0 {
 		return nil
 	}
-	return erroredResult(rule, err)
+	return rs[0]
 }
 
 // VerifyAll verifies every rule in the program, in source order.
@@ -458,62 +384,30 @@ func (v *Verifier) VerifyAll() ([]*RuleResult, error) {
 }
 
 // VerifyAllContext verifies every rule in the program, in source order,
-// under a cancellation context. When Options.Parallelism is greater
-// than one, rules are verified concurrently; results keep source order.
+// under a cancellation context. Rules are expanded into verification
+// units that run on Options.Scheduler, or on a transient pool of
+// Options.Parallelism workers; results keep source order.
 //
-// The sweep is fault-isolated: a rule whose verification panics or
-// errors yields a RuleResult with OutcomeError (see VerifyRuleContext)
+// The sweep is fault-isolated: a unit whose verification panics or
+// errors yields an OutcomeError outcome (see VerifyRuleContained)
 // instead of aborting the run. On cancellation the completed results
 // are returned — still in source order, incomplete rules omitted —
 // together with ctx.Err(); every completed unit is already flushed to
 // the result cache, so an immediate re-run resumes from cache hits.
 func (v *Verifier) VerifyAllContext(ctx context.Context) ([]*RuleResult, error) {
-	rules := v.Prog.Rules
-	if pool := v.Opts.Scheduler; pool != nil {
-		return v.verifyAllScheduled(ctx, rules, pool)
-	}
-	n := v.Opts.Parallelism
-	if n <= 1 {
-		out := make([]*RuleResult, 0, len(rules))
-		for _, r := range rules {
-			if err := ctx.Err(); err != nil {
-				return out, err
+	results := v.verifyRules(ctx, v.Prog.Rules)
+	if v.Opts.ShardCount > 1 {
+		// A rule whose every unit belongs to other shards would read as
+		// "inapplicable"; it is omitted from the sweep instead.
+		kept := results[:0]
+		for _, rr := range results {
+			if len(rr.Insts) > 0 {
+				kept = append(kept, rr)
 			}
-			rr := v.verifyRuleContained(ctx, r)
-			if rr == nil {
-				return out, ctx.Err()
-			}
-			out = append(out, v.dropIfForeign(rr)...)
 		}
-		return out, nil
+		results = kept
 	}
-
-	// Parallel sweep: spin up a transient work-stealing pool sized to
-	// the work (never more workers than units) and schedule per-unit.
-	units := 0
-	for _, r := range rules {
-		units += len(v.Sigs(r))
-	}
-	if n > units {
-		n = units
-	}
-	if n < 1 {
-		n = 1
-	}
-	pool := sched.NewPool(n, obs.Get(ctx).Registry())
-	defer pool.Close()
-	return v.verifyAllScheduled(ctx, rules, pool)
-}
-
-// dropIfForeign filters one sweep result under sharding: a rule whose
-// every unit belongs to other shards yields an empty result that would
-// read as "inapplicable", so it is omitted from the sweep instead.
-// Without sharding every result passes through.
-func (v *Verifier) dropIfForeign(rr *RuleResult) []*RuleResult {
-	if v.Opts.ShardCount > 1 && len(rr.Insts) == 0 {
-		return nil
-	}
-	return []*RuleResult{rr}
+	return results, ctx.Err()
 }
 
 // solverConfig is the per-query configuration for standalone queries

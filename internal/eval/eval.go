@@ -31,8 +31,8 @@ type Config struct {
 	Timeout time.Duration
 	// Distinct enables the §3.2.1 distinct-models check during Table 1.
 	Distinct bool
-	// Parallelism verifies rules concurrently during the Table 1 sweep
-	// (0/1 = sequential). Figure 4 always runs sequentially because it
+	// Parallelism is the worker count of the Table 1 sweep's unit pool
+	// (0/1 = one worker). Figure 4 always runs sequentially because it
 	// measures per-rule isolation times.
 	Parallelism int
 	// CacheDir enables the incremental-verification result cache for

@@ -34,7 +34,6 @@ import (
 // checker) agree on the taxonomy.
 const (
 	PhaseParse        = "parse"            // ISLE parse + typecheck
-	PhaseRule         = "rule"             // one rule across instantiations
 	PhaseMonomorphize = "monomorphize"     // type inference / assignments
 	PhaseElaborate    = "elaborate"        // elaboration + VC construction
 	PhaseCacheProbe   = "cache.probe"      // vcache fingerprint + lookup
@@ -85,7 +84,7 @@ type Event struct {
 // maxEvents bounds the tracer's memory; a full-corpus sweep records on
 // the order of 10^4 events, so the cap only engages on runaway loops.
 // Overflow drops events (counted in Dropped) rather than failing.
-// Long-running hosts can lower the cap with SetEventCap.
+// Long-running hosts use SetRing instead.
 const maxEvents = 1 << 21
 
 // Tracer records spans and owns the metrics registry of one run. All
@@ -95,11 +94,10 @@ type Tracer struct {
 	epoch time.Time
 	reg   *Registry
 
-	mu       sync.Mutex
-	events   []Event
-	threads  map[int64]string
-	nameTID  map[string]int64
-	eventCap int // span retention bound; 0 disables span storage
+	mu      sync.Mutex
+	events  []Event
+	threads map[int64]string
+	nameTID map[string]int64
 
 	// Flight-recorder ring: when ringCap > 0 completed spans land in a
 	// fixed-size circular buffer instead of the unbounded events slice,
@@ -116,33 +114,18 @@ type Tracer struct {
 // New creates an enabled tracer with a fresh metrics registry.
 func New() *Tracer {
 	return &Tracer{
-		epoch:    time.Now(),
-		reg:      NewRegistry(),
-		threads:  map[int64]string{0: "main"},
-		nameTID:  map[string]int64{},
-		eventCap: maxEvents,
+		epoch:   time.Now(),
+		reg:     NewRegistry(),
+		threads: map[int64]string{0: "main"},
+		nameTID: map[string]int64{},
 	}
-}
-
-// SetEventCap bounds how many completed spans the tracer retains. A
-// batch run keeps the default (large enough for a full corpus sweep and
-// its exporters); a daemon with an unbounded lifetime sets 0 so spans
-// still time requests (and feed counters) but are never accumulated.
-// Spans beyond the cap are dropped and counted in Dropped.
-func (t *Tracer) SetEventCap(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.eventCap = n
-	t.mu.Unlock()
 }
 
 // SetRing switches the tracer into flight-recorder mode: completed
 // spans are kept in a circular buffer of the n most recent instead of
 // the append-only events slice, so a daemon traces forever at constant
 // memory and can always dump the latest window. n <= 0 turns the ring
-// off (back to SetEventCap semantics).
+// off (back to the bounded events slice).
 func (t *Tracer) SetRing(n int) {
 	if t == nil {
 		return
@@ -222,7 +205,7 @@ func (t *Tracer) record(ev Event) {
 		t.mu.Unlock()
 		return
 	}
-	if len(t.events) >= t.eventCap {
+	if len(t.events) >= maxEvents {
 		t.mu.Unlock()
 		t.dropped.Add(1)
 		return

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -107,7 +108,7 @@ func TestChromeTraceExportValidates(t *testing.T) {
 	ctx := WithTracer(context.Background(), tr)
 	tr.StartSpan(PhaseParse).End()
 	wctx := WithThread(WithScope(ctx, "rule_a"), "worker-1")
-	sp := Start(wctx, PhaseRule)
+	sp := Start(wctx, PhaseUnit)
 	Start(wctx, PhaseSolve, Str("status", "unsat")).End()
 	sp.End()
 
@@ -119,7 +120,7 @@ func TestChromeTraceExportValidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := ValidateChromeTrace(data, []string{PhaseParse, PhaseRule, PhaseSolve})
+	st, err := ValidateChromeTrace(data, []string{PhaseParse, PhaseUnit, PhaseSolve})
 	if err != nil {
 		t.Fatalf("ValidateChromeTrace: %v", err)
 	}
@@ -264,6 +265,37 @@ func TestPhaseBreakdown(t *testing.T) {
 	table := pb.Render(10)
 	if !strings.Contains(table, "rule_x") || !strings.Contains(table, "(parse)") {
 		t.Errorf("table:\n%s", table)
+	}
+}
+
+// TestPhaseTableRowTotal: a rule's row total is the sum of its
+// sched.unit spans (each unit's wall time), a scope without unit spans
+// falls back to the sum of its phase columns, and sched.unit itself is
+// not a column.
+func TestPhaseTableRowTotal(t *testing.T) {
+	tr := New()
+	for _, ev := range []Event{
+		{Name: PhaseUnit, Scope: "rule_x", Dur: 3 * time.Millisecond},
+		{Name: PhaseUnit, Scope: "rule_x", Dur: 4 * time.Millisecond},
+		{Name: PhaseSolve, Scope: "rule_x", Dur: 5 * time.Millisecond},
+		{Name: PhaseBlast, Scope: "rule_y", Dur: 2 * time.Millisecond},
+		{Name: PhaseSolve, Scope: "rule_y", Dur: 1 * time.Millisecond},
+	} {
+		tr.record(ev)
+	}
+	lines := strings.Split(tr.PhaseBreakdown().Render(0), "\n")
+	header := strings.Fields(lines[1])
+	if want := []string{"rule", "total", "blast", "solve"}; !reflect.DeepEqual(header, want) {
+		t.Errorf("header = %v, want %v", header, want)
+	}
+	totals := map[string]string{}
+	for _, l := range lines[2:] {
+		if f := strings.Fields(l); len(f) >= 2 {
+			totals[f[0]] = f[1]
+		}
+	}
+	if totals["rule_x"] != "7.00ms" || totals["rule_y"] != "3.00ms" {
+		t.Errorf("row totals = %v, want rule_x 7.00ms (unit spans), rule_y 3.00ms (columns)", totals)
 	}
 }
 

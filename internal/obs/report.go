@@ -82,7 +82,7 @@ func (pb *PhaseBreakdown) Render(maxRows int) string {
 	}
 	var rest []string
 	for c := range seen {
-		if c != PhaseRule && c != PhaseParse && c != PhaseAttempt &&
+		if c != PhaseUnit && c != PhaseParse && c != PhaseAttempt &&
 			!strings.HasPrefix(c, "query.") {
 			rest = append(rest, c)
 		}
@@ -99,9 +99,9 @@ func (pb *PhaseBreakdown) Render(maxRows int) string {
 		if scope == "" {
 			continue
 		}
-		// Row total: the rule span when present (true wall time),
-		// otherwise the sum over leaf phases.
-		total, ok := tm[PhaseRule]
+		// Row total: the rule's summed unit spans when present (each
+		// unit's wall time), otherwise the sum over leaf phases.
+		total, ok := tm[PhaseUnit]
 		if !ok {
 			for _, c := range cols {
 				total += tm[c]

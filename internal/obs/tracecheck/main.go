@@ -25,7 +25,7 @@ import (
 func defaultRequired() string {
 	return strings.Join([]string{
 		obs.PhaseParse,
-		obs.PhaseRule,
+		obs.PhaseUnit,
 		obs.PhaseMonomorphize,
 		obs.PhaseElaborate,
 		obs.PhaseAttempt,

@@ -65,15 +65,6 @@ type VerifyRequest struct {
 	RetryBudgets      []int64 `json:"retry_budgets,omitempty"`
 }
 
-// SolverStats mirrors core.SolverStats on the wire.
-type SolverStats struct {
-	Propagations int64 `json:"propagations"`
-	Conflicts    int64 `json:"conflicts"`
-	Decisions    int64 `json:"decisions"`
-	Queries      int64 `json:"queries"`
-	Restarts     int64 `json:"restarts,omitempty"`
-}
-
 // Counterexample is the wire form of a verification counterexample.
 type Counterexample struct {
 	Inputs   map[string]string `json:"inputs,omitempty"`
@@ -84,17 +75,17 @@ type Counterexample struct {
 
 // InstVerdict is one (rule, type instantiation) outcome.
 type InstVerdict struct {
-	Sig            string          `json:"sig,omitempty"`     // full signature, e.g. "(bv 8) -> (bv 64)"
-	SigRet         string          `json:"sig_ret,omitempty"` // return sort alone, e.g. "(bv 64)"
-	Outcome        string          `json:"outcome"`
-	Cached         bool            `json:"cached,omitempty"`
-	Escalations    int             `json:"escalations,omitempty"`
-	DistinctInputs *bool           `json:"distinct_inputs,omitempty"`
-	Assignments    int             `json:"assignments,omitempty"`
-	DurationNS     int64           `json:"duration_ns"`
-	Stats          SolverStats     `json:"stats"`
-	Counterexample *Counterexample `json:"counterexample,omitempty"`
-	Error          string          `json:"error,omitempty"`
+	Sig            string           `json:"sig,omitempty"`     // full signature, e.g. "(bv 8) -> (bv 64)"
+	SigRet         string           `json:"sig_ret,omitempty"` // return sort alone, e.g. "(bv 64)"
+	Outcome        string           `json:"outcome"`
+	Cached         bool             `json:"cached,omitempty"`
+	Escalations    int              `json:"escalations,omitempty"`
+	DistinctInputs *bool            `json:"distinct_inputs,omitempty"`
+	Assignments    int              `json:"assignments,omitempty"`
+	DurationNS     int64            `json:"duration_ns"`
+	Stats          core.SolverStats `json:"stats"`
+	Counterexample *Counterexample  `json:"counterexample,omitempty"`
+	Error          string           `json:"error,omitempty"`
 }
 
 // RuleVerdict is the complete verdict for one rule.
@@ -174,13 +165,7 @@ func newInstVerdict(io *core.InstOutcome) InstVerdict {
 		Escalations: io.Escalations,
 		Assignments: io.Assignments,
 		DurationNS:  io.Duration.Nanoseconds(),
-		Stats: SolverStats{
-			Propagations: io.Stats.Propagations,
-			Conflicts:    io.Stats.Conflicts,
-			Decisions:    io.Stats.Decisions,
-			Queries:      io.Stats.Queries,
-			Restarts:     io.Stats.Restarts,
-		},
+		Stats:       io.Stats,
 	}
 	if io.Sig != nil {
 		iv.Sig = io.Sig.String()

@@ -18,7 +18,8 @@ const diffBudget = 5_000_000
 // diffCorpus verifies every rule of a seed corpus twice — through a
 // local core.Verifier and through the daemon's request path — and
 // requires verdict-identical results: same outcome, same counterexample
-// presence, same distinct-models verdict, per instantiation. This is the
+// presence, same distinct-models verdict and the same SAT counters, per
+// instantiation. This is the
 // differential guarantee the CI serve-smoke job re-checks end-to-end
 // over HTTP.
 func diffCorpus(t *testing.T, corpusName string, load func() (*isle.Program, error)) {
@@ -85,6 +86,9 @@ func diffCorpus(t *testing.T, corpusName string, load func() (*isle.Program, err
 			if (iv.DistinctInputs == nil) != (io.DistinctInputs == nil) ||
 				(iv.DistinctInputs != nil && *iv.DistinctInputs != *io.DistinctInputs) {
 				t.Errorf("%s inst %d: distinct-models verdict differs", rule.Name, i)
+			}
+			if iv.Stats != io.Stats {
+				t.Errorf("%s inst %d: server stats %+v, local %+v", rule.Name, i, iv.Stats, io.Stats)
 			}
 		}
 	}

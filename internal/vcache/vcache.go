@@ -70,18 +70,28 @@ type Counterexample struct {
 	Rendered string           `json:"rendered"`
 }
 
-// SolverStats are cumulative SAT statistics for a verification unit.
+// SolverStats are cumulative SAT statistics for a verification unit:
+// the on-disk form of core.SolverStats, with the same fields in the same
+// order (core converts between the two directly) under short keys.
 type SolverStats struct {
 	Propagations int64 `json:"p,omitempty"`
 	Conflicts    int64 `json:"c,omitempty"`
 	Decisions    int64 `json:"d,omitempty"`
-	// Queries counts the SMT queries the unit issued (applicability,
-	// distinctness, equivalence, per assignment).
-	Queries int64 `json:"q,omitempty"`
 	// Restarts counts CDCL restarts. Entries written before this field
 	// existed replay with 0 (omitempty both ways): stats are advisory
 	// metadata, never part of the fingerprint, so no engine-version bump.
+	// The same holds for the inprocessing and structural-hashing counters
+	// below.
 	Restarts int64 `json:"r,omitempty"`
+	// Queries counts the SMT queries the unit issued (applicability,
+	// distinctness, equivalence, per assignment).
+	Queries int64 `json:"q,omitempty"`
+	// Inprocessing and structural-hashing work: variables eliminated,
+	// clauses subsumed, clauses vivified, gates merged.
+	ElimVars         int64 `json:"e,omitempty"`
+	Subsumed         int64 `json:"s,omitempty"`
+	Vivified         int64 `json:"v,omitempty"`
+	StructHashMerged int64 `json:"m,omitempty"`
 }
 
 // Entry is one cached verification-unit result.
