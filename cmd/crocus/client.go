@@ -21,136 +21,54 @@ import (
 	"crocus/internal/serve"
 )
 
-// instDisplay is the rendering-ready form of one instantiation outcome,
-// buildable from either a local core result or a wire verdict.
-type instDisplay struct {
-	HasSig      bool
-	SigStr      string // full signature; "<nil>" without one (matching fmt's nil rendering)
-	SigRet      string
-	Outcome     string
-	Cached      bool
-	Escalations int
-	SingleModel bool
-	Duration    time.Duration
-	Stats       crocus.SolverStats
-	CexRendered string
-	FaultMsg    string
-}
-
-// ruleDisplay is the rendering-ready form of one rule verdict.
-type ruleDisplay struct {
-	Name         string
-	Outcome      string
-	RetriedFresh bool
-	Insts        []instDisplay
-}
-
-func displayFromResult(rr *crocus.RuleResult) ruleDisplay {
-	d := ruleDisplay{
-		Name:         rr.Rule.Name,
-		Outcome:      rr.Outcome().String(),
-		RetriedFresh: rr.RetriedFresh,
-	}
-	for _, io := range rr.Insts {
-		id := instDisplay{
-			SigStr:      "<nil>",
-			Outcome:     io.Outcome.String(),
-			Cached:      io.Cached,
-			Escalations: io.Escalations,
-			SingleModel: io.DistinctInputs != nil && !*io.DistinctInputs,
-			Duration:    io.Duration,
-			Stats:       io.Stats,
-		}
-		if io.Sig != nil {
-			id.HasSig = true
-			id.SigStr = io.Sig.String()
-			id.SigRet = io.Sig.Ret.String()
-		}
-		if io.Counterexample != nil {
-			id.CexRendered = io.Counterexample.Rendered
-		}
-		if io.Outcome == crocus.OutcomeError && io.Err != nil {
-			id.FaultMsg = io.Err.Error()
-		}
-		d.Insts = append(d.Insts, id)
-	}
-	return d
-}
-
-func displayFromWire(v *serve.RuleVerdict) ruleDisplay {
-	d := ruleDisplay{
-		Name:         v.Rule,
-		Outcome:      v.Outcome,
-		RetriedFresh: v.RetriedFresh,
-	}
-	for _, iv := range v.Insts {
-		id := instDisplay{
-			HasSig:      iv.Sig != "",
-			SigStr:      iv.Sig,
-			SigRet:      iv.SigRet,
-			Outcome:     iv.Outcome,
-			Cached:      iv.Cached,
-			Escalations: iv.Escalations,
-			SingleModel: iv.DistinctInputs != nil && !*iv.DistinctInputs,
-			Duration:    time.Duration(iv.DurationNS),
-			Stats:       iv.Stats,
-		}
-		if id.SigStr == "" {
-			id.SigStr = "<nil>"
-		}
-		if iv.Counterexample != nil {
-			id.CexRendered = iv.Counterexample.Rendered
-		}
-		if iv.Outcome == crocus.OutcomeError.String() && iv.Error != "" {
-			id.FaultMsg = iv.Error
-		}
-		d.Insts = append(d.Insts, id)
-	}
-	return d
-}
-
-// printRuleDisplay is the single renderer behind both pipelines.
-func printRuleDisplay(d ruleDisplay, stats bool, exit *int) {
+// printVerdict is the single renderer behind both pipelines: local
+// results arrive through serve.NewRuleVerdict, daemon replies as
+// decoded. It prints one rule's per-instantiation outcomes (and, under
+// -stats, its cumulative SAT statistics), updating the exit code on
+// counterexamples.
+func printVerdict(v *serve.RuleVerdict, stats bool, exit *int) {
 	var dur time.Duration
 	var agg crocus.SolverStats
 	cached := 0
 	var outs []string
-	for _, io := range d.Insts {
-		dur += io.Duration
-		agg.Add(io.Stats)
-		if io.Cached {
+	for _, iv := range v.Insts {
+		dur += time.Duration(iv.DurationNS)
+		agg.Add(iv.Stats)
+		s := iv.Outcome
+		if iv.Sig != "" {
+			s = fmt.Sprintf("%s:%s", iv.SigRet, iv.Outcome)
+		}
+		if iv.Cached {
 			cached++
-		}
-		s := io.Outcome
-		if io.HasSig {
-			s = fmt.Sprintf("%s:%s", io.SigRet, io.Outcome)
-		}
-		if io.Cached {
 			s += "*"
 		}
-		if io.Escalations > 0 {
-			s += fmt.Sprintf("^%d", io.Escalations)
+		if iv.Escalations > 0 {
+			s += fmt.Sprintf("^%d", iv.Escalations)
 		}
-		if io.SingleModel {
+		if iv.DistinctInputs != nil && !*iv.DistinctInputs {
 			s += "!single-model"
 		}
 		outs = append(outs, s)
 	}
 	fmt.Printf("%-30s %-12s %8.2fs  [%s]\n",
-		d.Name, d.Outcome, dur.Seconds(), strings.Join(outs, " "))
+		v.Rule, v.Outcome, dur.Seconds(), strings.Join(outs, " "))
 	if stats {
-		fmt.Printf("    stats: %s  cached=%d/%d\n", agg, cached, len(d.Insts))
+		fmt.Printf("    stats: %s  cached=%d/%d\n", agg, cached, len(v.Insts))
 	}
-	for _, io := range d.Insts {
-		if io.CexRendered != "" {
-			fmt.Printf("  counterexample (%s):\n%s\n", io.SigStr, indent(io.CexRendered))
+	for _, iv := range v.Insts {
+		if cex := iv.Counterexample; cex != nil && cex.Rendered != "" {
+			sig := iv.Sig
+			if sig == "" {
+				sig = "<nil>" // fmt's rendering of a nil signature
+			}
+			fmt.Printf("  counterexample (%s):\n%s\n", sig, indent(cex.Rendered))
 			*exit = 2
 		}
-		if io.FaultMsg != "" {
-			fmt.Printf("  contained fault: %s\n", io.FaultMsg)
+		if iv.Outcome == crocus.OutcomeError.String() && iv.Error != "" {
+			fmt.Printf("  contained fault: %s\n", iv.Error)
 		}
 	}
-	if d.RetriedFresh {
+	if v.RetriedFresh {
 		fmt.Printf("  note: first attempt faulted; result from the retry on a new session\n")
 	}
 }
@@ -261,7 +179,7 @@ func runClient(cfg clientConfig) int {
 			fmt.Fprintln(os.Stderr, "crocus:", err)
 			return 1
 		}
-		printRuleDisplay(displayFromWire(&resp.Verdict), cfg.stats, &exit)
+		printVerdict(&resp.Verdict, cfg.stats, &exit)
 		counts.addOutcome(resp.Verdict.Outcome)
 	} else {
 		breq := serve.BatchRequest{Requests: make([]serve.VerifyRequest, len(rules))}
@@ -284,7 +202,7 @@ func runClient(cfg clientConfig) int {
 				exit = 1
 				continue
 			}
-			printRuleDisplay(displayFromWire(item.Verdict), cfg.stats, &exit)
+			printVerdict(item.Verdict, cfg.stats, &exit)
 			counts.addOutcome(item.Verdict.Outcome)
 		}
 	}

@@ -44,6 +44,7 @@ import (
 	"crocus/internal/faultinject"
 	"crocus/internal/obs"
 	"crocus/internal/obs/promtext"
+	"crocus/internal/serve"
 	"crocus/internal/vcache"
 )
 
@@ -333,8 +334,9 @@ func main() {
 		}
 		interrupted = err != nil
 		for _, rr := range rs {
-			printRule(rr, *stats, &exit)
-			counts.add(rr)
+			v := serve.NewRuleVerdict(rr)
+			printVerdict(&v, *stats, &exit)
+			counts.addOutcome(v.Outcome)
 		}
 		profiled = rs
 		if interrupted {
@@ -356,7 +358,8 @@ func main() {
 				exit = 1
 				continue
 			}
-			printRule(rr, *stats, &exit)
+			v := serve.NewRuleVerdict(rr)
+			printVerdict(&v, *stats, &exit)
 			profiled = append(profiled, rr)
 		}
 	}
@@ -452,12 +455,7 @@ type outcomeCounts struct {
 	total, success, failure, timeout, errored, inapplicable int
 }
 
-func (c *outcomeCounts) add(rr *crocus.RuleResult) {
-	c.addOutcome(rr.Outcome().String())
-}
-
-// addOutcome tallies by outcome name, shared with server verdicts (which
-// arrive as strings on the wire).
+// addOutcome tallies one rule verdict by its outcome name.
 func (c *outcomeCounts) addOutcome(outcome string) {
 	c.total++
 	switch outcome {
@@ -477,15 +475,6 @@ func (c *outcomeCounts) addOutcome(outcome string) {
 func (c *outcomeCounts) String() string {
 	return fmt.Sprintf("success: %d, failure: %d, timeout: %d, error: %d, inapplicable: %d",
 		c.success, c.failure, c.timeout, c.errored, c.inapplicable)
-}
-
-// printRule prints one rule's per-instantiation outcomes (and, under
-// -stats, its cumulative SAT statistics), updating the exit code on
-// counterexamples. Local results and server verdicts render through the
-// same display path (client.go) so the two pipelines' outputs are
-// byte-comparable.
-func printRule(rr *crocus.RuleResult, stats bool, exit *int) {
-	printRuleDisplay(displayFromResult(rr), stats, exit)
 }
 
 func loadProgram(corpusName string, files []string) (*crocus.Program, error) {

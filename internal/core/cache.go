@@ -29,10 +29,9 @@ type prepared struct {
 // unitScope derives the SMT variable-name prefix for one monomorphized
 // assignment of a verification unit. It depends only on the unit's
 // content (type signature and assignment index), so the same unit hashes
-// to the same fingerprint whether it is prepared standalone, inside a
-// rule sweep, or for FingerprintInstantiation. The characters used are
-// all SMT-LIB-name-safe (see smtlibName), so canonical queries stay
-// unquoted.
+// to the same fingerprint whether it is prepared standalone or inside a
+// rule sweep. The characters used are all SMT-LIB-name-safe (see
+// smtlibName), so canonical queries stay unquoted.
 func unitScope(sig *isle.Sig, idx int) string {
 	var sb strings.Builder
 	sb.WriteString("u")
@@ -130,27 +129,6 @@ func (v *Verifier) fingerprint(preps []*prepared) string {
 	sort.Strings(mats)
 	sections = append(sections, mats...)
 	return vcache.Fingerprint(EngineVersion, sections)
-}
-
-// FingerprintInstantiation computes the vcache fingerprint for one
-// (rule, type instantiation) unit without solving anything. It returns
-// ok=false when monomorphization yields no assignment (the unit is
-// trivially inapplicable and is never cached).
-func (v *Verifier) FingerprintInstantiation(rule *isle.Rule, sig *isle.Sig) (fp string, ok bool, err error) {
-	ra, assigns, err := v.monomorphize(rule, sig)
-	if err != nil {
-		return "", false, err
-	}
-	if len(assigns) == 0 {
-		return "", false, nil
-	}
-	preps := make([]*prepared, len(assigns))
-	for i, a := range assigns {
-		if preps[i], err = v.prepareAssignment(ra, a, nil, unitScope(sig, i)); err != nil {
-			return "", false, err
-		}
-	}
-	return v.fingerprint(preps), true, nil
 }
 
 // cacheStore returns the verifier's result cache: an injected

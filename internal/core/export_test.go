@@ -44,3 +44,24 @@ func (v *Verifier) VerifyInstantiationOneShot(rule *isle.Rule, sig *isle.Sig) (*
 	}
 	return io, nil
 }
+
+// FingerprintInstantiation computes the vcache fingerprint for one
+// (rule, type instantiation) unit without solving anything. It returns
+// ok=false when monomorphization yields no assignment (the unit is
+// trivially inapplicable and is never cached).
+func (v *Verifier) FingerprintInstantiation(rule *isle.Rule, sig *isle.Sig) (fp string, ok bool, err error) {
+	ra, assigns, err := v.monomorphize(rule, sig)
+	if err != nil {
+		return "", false, err
+	}
+	if len(assigns) == 0 {
+		return "", false, nil
+	}
+	preps := make([]*prepared, len(assigns))
+	for i, a := range assigns {
+		if preps[i], err = v.prepareAssignment(ra, a, nil, unitScope(sig, i)); err != nil {
+			return "", false, err
+		}
+	}
+	return v.fingerprint(preps), true, nil
+}

@@ -4,9 +4,9 @@
 // exponential backoff and jitter — honoring the daemon's Retry-After
 // header when it sheds load — and a slow attempt can optionally be
 // hedged with a duplicate request. Hedging is safe against crocus-serve
-// specifically because the daemon coalesces identical in-flight work by
-// unit fingerprint: the duplicate joins the original's flight instead of
-// doubling solver load.
+// specifically because the daemon coalesces in-flight requests that ask
+// for the same program, rule and outcome-affecting options: the
+// duplicate joins the original's flight instead of doubling solver load.
 //
 // The clock-touching seams (backoff sleeps, the hedge timer, jitter) are
 // injectable, so retry and hedge policy is unit-testable without real

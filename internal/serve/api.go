@@ -15,15 +15,14 @@
 //	GET  /v1/debug/flightz retained flight-recorder exemplars: full span
 //	                       trees of recent slow/timed-out/errored requests
 //
-// Identical in-flight requests are coalesced: a request's verification
-// units are fingerprinted exactly as the vcache would key them, and
-// requests whose fingerprint set matches one already being solved wait
-// for that flight instead of solving again (singleflight semantics; the
-// flight's result also lands in the shared vcache, so later requests
-// replay it without coalescing at all). On SIGTERM the daemon drains
-// gracefully: it stops accepting work, finishes or cancels in-flight
-// requests within the drain timeout, flushes the JSONL cache tier, and
-// exits 0.
+// Identical in-flight requests are coalesced: a request that asks for
+// the same program, rule and outcome-affecting options as one already
+// being solved waits for that flight instead of solving again
+// (singleflight semantics; the flight's result also lands in the shared
+// vcache, so later requests replay it without solving). On SIGTERM the
+// daemon drains gracefully: it stops accepting work, finishes or cancels
+// in-flight requests within the drain timeout, flushes the JSONL cache
+// tier, and exits 0.
 package serve
 
 import (

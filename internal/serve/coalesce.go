@@ -15,36 +15,30 @@ import (
 
 // flight is one in-progress solve that concurrent identical requests
 // share. The leader closes done after storing rr; rr stays nil when the
-// flight was canceled (or never admitted to the worker pool) before
-// completing — waiters then retry or fail with their own context error.
+// flight died before completing (its leader panicked, was canceled, or
+// was never admitted to the worker pool) — waiters then retry or fail
+// with their own context error.
 type flight struct {
 	done    chan struct{}
 	rr      *core.RuleResult
 	waiters atomic.Int64
 }
 
-// flightKey derives the coalescing key for one (rule, options) request:
-// the vcache fingerprints of every verification unit the rule expands to
-// — exactly the content addresses the cache will store results under —
-// plus the outcome-affecting options the unit fingerprints don't already
-// embed (per-unit timeout, escalation ladder). Two
-// requests with equal keys are guaranteed to produce identical verdicts,
-// so solving once is sound. ok=false means the rule has an
-// unfingerprintable unit (zero assignments, or preparation failed) and
-// must not be coalesced.
-func (s *Server) flightKey(v *core.Verifier, rule *isle.Rule) (string, bool) {
-	sigs := v.Sigs(rule)
-	sections := make([]string, 0, len(sigs)+1)
-	sections = append(sections, fmt.Sprintf("opts timeout=%d ladder=%v",
-		v.Opts.Timeout.Nanoseconds(), v.Opts.RetryBudgets))
-	for _, sig := range sigs {
-		fp, ok, err := v.FingerprintInstantiation(rule, sig)
-		if err != nil || !ok {
-			return "", false
-		}
-		sections = append(sections, fp)
-	}
-	return vcache.Fingerprint("serve-flight-1", sections), true
+// flightKey is the coalescing key for one request: what it asks for.
+// prog is the program's identity — the resident corpus name, or the
+// content fingerprint parseFiles computed for inline sources — and
+// timeout is the request's resolved per-unit solver deadline; the rest
+// are the request's other outcome-affecting options. Equal keys mean
+// identical input to the same deterministic pipeline, so one solve
+// serves every request with the key. deadline_ms only bounds how long a
+// request waits for its verdict, so it stays out.
+func flightKey(prog string, timeout time.Duration, req *VerifyRequest) string {
+	return vcache.Fingerprint("serve-flight-2", []string{
+		prog,
+		req.Rule,
+		fmt.Sprintf("timeout=%d distinct=%t custom_vc=%t budget=%d ladder=%v",
+			timeout.Nanoseconds(), req.Distinct, req.CustomVC, req.PropagationBudget, req.RetryBudgets),
+	})
 }
 
 // verifyRuleCoalesced solves the rule, deduplicating against identical
@@ -55,12 +49,7 @@ func (s *Server) flightKey(v *core.Verifier, rule *isle.Rule) (string, bool) {
 // another request's flight; queueWait is the slot wait (zero for
 // waiters); status is the HTTP status to write when err is non-nil (0
 // lets the caller map context errors).
-func (s *Server) verifyRuleCoalesced(ctx context.Context, v *core.Verifier, rule *isle.Rule) (rr *core.RuleResult, coalesced bool, queueWait time.Duration, status int, err error) {
-	key, ok := s.flightKey(v, rule)
-	if !ok {
-		return s.solveSolo(ctx, v, rule)
-	}
-
+func (s *Server) verifyRuleCoalesced(ctx context.Context, key string, v *core.Verifier, rule *isle.Rule) (rr *core.RuleResult, coalesced bool, queueWait time.Duration, status int, err error) {
 	for {
 		s.mu.Lock()
 		if f, exists := s.flights[key]; exists {
@@ -72,14 +61,14 @@ func (s *Server) verifyRuleCoalesced(ctx context.Context, v *core.Verifier, rule
 				if f.rr != nil {
 					return f.rr, true, 0, 0, nil
 				}
-				// The flight died under its leader (canceled, or never
-				// admitted). If this waiter is still live and the server
-				// isn't draining, take another lap — become the leader or
-				// join a fresh flight.
-				if cerr := ctxErr(ctx, s); cerr != nil {
-					return nil, false, 0, 0, cerr
+				// The flight died under its leader (panicked, canceled,
+				// or never admitted). If this waiter is still live and the
+				// server isn't draining, take another lap — become the
+				// leader or join a fresh flight.
+				if ctx.Err() == nil && !s.draining.Load() && s.baseCtx.Err() == nil {
+					continue
 				}
-				continue
+				return nil, false, 0, 0, ctxErr(ctx, s)
 			case <-ctx.Done():
 				return nil, false, 0, 0, ctx.Err()
 			}
@@ -90,21 +79,6 @@ func (s *Server) verifyRuleCoalesced(ctx context.Context, v *core.Verifier, rule
 		s.reg.Counter("serve.coalesce.leader").Inc()
 		return s.runFlight(ctx, v, rule, key, f)
 	}
-}
-
-// solveSolo is the uncoalesceable path: claim a slot, solve under the
-// request's own context.
-func (s *Server) solveSolo(ctx context.Context, v *core.Verifier, rule *isle.Rule) (rr *core.RuleResult, coalesced bool, queueWait time.Duration, status int, err error) {
-	queueWait, status, err = s.acquire(ctx)
-	if err != nil {
-		return nil, false, 0, status, err
-	}
-	defer s.release()
-	rr = s.solveRule(ctx, v, rule)
-	if rr == nil {
-		return nil, false, queueWait, 0, ctxErr(ctx, s)
-	}
-	return rr, false, queueWait, 0, nil
 }
 
 // runFlight executes one flight as its leader. The solve runs under the

@@ -579,7 +579,7 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 	if req.Rule == "" {
 		return nil, http.StatusBadRequest, errors.New("missing rule name")
 	}
-	prog, custom, err := s.program(ctx, req)
+	prog, progID, custom, err := s.program(ctx, req)
 	if err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -599,8 +599,9 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 		defer cancel()
 	}
 
+	timeout := timeoutFromMS(req.TimeoutMS, s.cfg.Timeout, s.cfg.MaxTimeout)
 	v := core.New(prog, core.Options{
-		Timeout:           timeoutFromMS(req.TimeoutMS, s.cfg.Timeout, s.cfg.MaxTimeout),
+		Timeout:           timeout,
 		DistinctModels:    req.Distinct,
 		PropagationBudget: req.PropagationBudget,
 		RetryBudgets:      req.RetryBudgets,
@@ -608,7 +609,8 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 		Cache:             s.cache,
 		Scheduler:         s.pool,
 	})
-	rr, coalesced, queueWait, status, err := s.verifyRuleCoalesced(ctx, v, rule)
+	key := flightKey(progID, timeout, req)
+	rr, coalesced, queueWait, status, err := s.verifyRuleCoalesced(ctx, key, v, rule)
 	if err != nil {
 		switch {
 		case status == http.StatusTooManyRequests:
@@ -720,41 +722,39 @@ func readHeapBytes() uint64 {
 func (s *Server) release() { <-s.slots }
 
 // program resolves the request's program: a resident corpus or inline
-// sources (parsed once per distinct content).
-func (s *Server) program(ctx context.Context, req *VerifyRequest) (*isle.Program, map[string]*core.CustomVC, error) {
+// sources (parsed once per distinct content). id is the program's
+// identity in the flight key: the corpus name, or the sources' content
+// fingerprint (64 hex digits, so never a resident corpus name).
+func (s *Server) program(ctx context.Context, req *VerifyRequest) (prog *isle.Program, id string, custom map[string]*core.CustomVC, err error) {
 	sp := obs.Start(ctx, obs.PhaseServeParse)
 	defer sp.End()
-	var prog *isle.Program
 	switch {
 	case req.Corpus != "" && len(req.Files) > 0:
-		return nil, nil, errors.New("set exactly one of corpus or files")
+		return nil, "", nil, errors.New("set exactly one of corpus or files")
 	case req.Corpus != "":
 		p, ok := s.programs[req.Corpus]
 		if !ok {
-			return nil, nil, fmt.Errorf("corpus %q is not resident", req.Corpus)
+			return nil, "", nil, fmt.Errorf("corpus %q is not resident", req.Corpus)
 		}
 		s.reg.Counter("serve.parse.resident").Inc()
-		prog = p
+		prog, id = p, req.Corpus
 	case len(req.Files) > 0:
-		p, err := s.parseFiles(req.Files)
-		if err != nil {
-			return nil, nil, err
+		if prog, id, err = s.parseFiles(req.Files); err != nil {
+			return nil, "", nil, err
 		}
-		prog = p
 	default:
-		return nil, nil, errors.New("missing corpus or files")
+		return nil, "", nil, errors.New("missing corpus or files")
 	}
-	var custom map[string]*core.CustomVC
 	if req.CustomVC {
 		custom = corpus.CustomVCs()
 	}
-	return prog, custom, nil
+	return prog, id, custom, nil
 }
 
 // parseFiles parses inline sources, memoized on a content fingerprint so
 // a client resubmitting the same files (the common smoke-test loop) hits
-// the resident parse.
-func (s *Server) parseFiles(files []SourceFile) (*isle.Program, error) {
+// the resident parse. It returns the program and that fingerprint.
+func (s *Server) parseFiles(files []SourceFile) (*isle.Program, string, error) {
 	sections := make([]string, 0, 2*len(files))
 	for _, f := range files {
 		sections = append(sections, f.Name, f.Src)
@@ -765,7 +765,7 @@ func (s *Server) parseFiles(files []SourceFile) (*isle.Program, error) {
 	if p, ok := s.parsed[key]; ok {
 		s.mu.Unlock()
 		s.reg.Counter("serve.parse.resident").Inc()
-		return p, nil
+		return p, key, nil
 	}
 	s.mu.Unlock()
 
@@ -773,11 +773,11 @@ func (s *Server) parseFiles(files []SourceFile) (*isle.Program, error) {
 	p := isle.NewProgram()
 	for _, f := range files {
 		if err := p.ParseFile(f.Name, f.Src); err != nil {
-			return nil, err
+			return nil, "", err
 		}
 	}
 	if err := p.Typecheck(); err != nil {
-		return nil, err
+		return nil, "", err
 	}
 
 	s.mu.Lock()
@@ -786,7 +786,7 @@ func (s *Server) parseFiles(files []SourceFile) (*isle.Program, error) {
 	}
 	s.parsed[key] = p
 	s.mu.Unlock()
-	return p, nil
+	return p, key, nil
 }
 
 // contain is the handler-level backstop of PR 4's panic containment:

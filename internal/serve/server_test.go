@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -11,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crocus/internal/faultinject"
 )
 
 // testPrelude is the miniature corpus prelude from the core tests,
@@ -298,10 +301,42 @@ func TestVerifyRejectsEngineSwitches(t *testing.T) {
 
 // TestCoalescing is the dedup contract: N concurrent identical requests
 // produce exactly one underlying solver invocation (asserted via obs
-// counters) and N identical verdicts.
+// counters) and N identical verdicts. x64_imul_8 has instantiations for
+// which monomorphization finds no type assignment; such rules coalesce
+// like any other.
 func TestCoalescing(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  VerifyRequest
+		// zeroAssign: the verdict must include a zero-assignment
+		// instantiation, so the input stays what the case is about.
+		zeroAssign bool
+	}{
+		{"inline", VerifyRequest{Files: testFiles(), Rule: "iadd_base"}, false},
+		{"zero-assignment", VerifyRequest{Corpus: "x64", Rule: "x64_imul_8"}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			verdict := testCoalescing(t, tc.req)
+			if !tc.zeroAssign {
+				return
+			}
+			for _, iv := range verdict.Insts {
+				if iv.Assignments == 0 {
+					return
+				}
+			}
+			t.Fatalf("%s: no zero-assignment instantiation in %+v", tc.req.Rule, verdict.Insts)
+		})
+	}
+}
+
+// testCoalescing sends n concurrent copies of req, holds the solve until
+// every follower has joined the leader's flight, and checks that one
+// solve served them all. It returns one of the (identical) verdicts.
+func testCoalescing(t *testing.T, req VerifyRequest) *RuleVerdict {
+	t.Helper()
 	const n = 6
-	s := newTestServer(t, Config{MaxInflight: n})
+	s := newTestServer(t, Config{MaxInflight: n, Corpora: []string{"midend", "x64"}})
 	release := make(chan struct{})
 	s.solveGate = func(ctx context.Context, rule string) {
 		select {
@@ -310,7 +345,6 @@ func TestCoalescing(t *testing.T) {
 		}
 	}
 
-	req := VerifyRequest{Files: testFiles(), Rule: "iadd_base"}
 	var wg sync.WaitGroup
 	verdicts := make([]*RuleVerdict, n)
 	errs := make([]error, n)
@@ -383,6 +417,206 @@ func TestCoalescing(t *testing.T) {
 	}
 	if leaders != 1 {
 		t.Fatalf("leaders = %d, want 1", leaders)
+	}
+	return verdicts[0]
+}
+
+// TestFlightKeySeparates pins what the flight key separates: requests
+// that differ in one thing they ask for never share a flight. Each
+// request is sent twice, and the twin still joins its flight although it
+// adds a request deadline and, where the request leaves timeout_ms at 0,
+// spells out the server's default.
+func TestFlightKeySeparates(t *testing.T) {
+	base := VerifyRequest{Files: testFiles(), Rule: "iadd_base"}
+	edited := testFiles()
+	edited[1].Src += "\n;; edited\n"
+	reqs := []VerifyRequest{base}
+	for _, differ := range []func(r *VerifyRequest){
+		func(r *VerifyRequest) { r.Files, r.Corpus = nil, "aarch64" },
+		func(r *VerifyRequest) { r.Files = edited },
+		func(r *VerifyRequest) { r.Rule = "rotr_broken" },
+		func(r *VerifyRequest) { r.TimeoutMS = 20_000 },
+		func(r *VerifyRequest) { r.Distinct = true },
+		func(r *VerifyRequest) { r.CustomVC = true },
+		func(r *VerifyRequest) { r.PropagationBudget = 100_000 },
+		func(r *VerifyRequest) { r.RetryBudgets = []int64{100_000} },
+	} {
+		r := base
+		differ(&r)
+		reqs = append(reqs, r)
+	}
+
+	n := len(reqs)
+	s := newTestServer(t, Config{MaxInflight: n, Corpora: []string{"aarch64"}})
+	release := make(chan struct{})
+	s.solveGate = func(ctx context.Context, rule string) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 2*n)
+	for i := 0; i < 2*n; i++ {
+		r := reqs[i%n]
+		if i >= n {
+			r.DeadlineMS = 60_000
+			if r.TimeoutMS == 0 {
+				r.TimeoutMS = s.cfg.Timeout.Milliseconds()
+			}
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, _, errs[i] = s.verifyOne(context.Background(), &r)
+		}(i)
+	}
+
+	// The gate holds every flight open, so once all 2n requests are
+	// counted as a leader or a waiter, the flight table is final.
+	reg := s.Registry()
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Counter("serve.coalesce.leader").Value()+reg.Counter("serve.coalesce.wait").Value() < int64(2*n) {
+		if time.Now().After(deadline) {
+			t.Fatal("requests never all reached the flight table")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	s.mu.Lock()
+	flights := len(s.flights)
+	for key, f := range s.flights {
+		if w := f.waiters.Load(); w != 1 {
+			t.Errorf("flight %s has %d waiters, want 1 (its twin)", key, w)
+		}
+	}
+	s.mu.Unlock()
+	close(release)
+	wg.Wait()
+
+	if flights != n {
+		t.Fatalf("%d flights for %d distinct requests", flights, n)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("request %d: %v", i, err)
+		}
+	}
+	if got := reg.Counter("serve.solve.rules").Value(); got != int64(n) {
+		t.Fatalf("solve.rules = %d, want %d", got, n)
+	}
+}
+
+// TestFlightLeaderDeath arms the serve.flight.leader fault site under a
+// storm of identical requests. A dead leader fails only its own request,
+// with a contained 500; the rest retry and elect a new leader. At seed 4
+// and probability 0.5 the site's first hit triggers and its second does
+// not. The gate holds the second flight until every survivor has joined
+// it, so exactly one request dies.
+func TestFlightLeaderDeath(t *testing.T) {
+	const n = 8
+	s := newTestServer(t, Config{MaxInflight: 2})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // runs before ts.Close, which waits for held requests
+	s.solveGate = func(ctx context.Context, rule string) {
+		select {
+		case <-release:
+		case <-ctx.Done():
+		}
+	}
+	defer faultinject.Reset()
+	if err := faultinject.Arm("serve.flight.leader=panic:0.5,seed=4"); err != nil {
+		t.Fatal(err)
+	}
+
+	body, err := json.Marshal(&VerifyRequest{Files: testFiles(), Rule: "iadd_base"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	statuses := make([]int, n)
+	bodies := make([][]byte, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/verify", "application/json", bytes.NewReader(body))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer resp.Body.Close()
+			statuses[i] = resp.StatusCode
+			bodies[i], errs[i] = io.ReadAll(resp.Body)
+		}(i)
+	}
+	// Once the first leader's panic is contained its flight is gone, so
+	// the only flight left is the held one.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Registry().Counter("serve.panics").Value() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no leader died")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	waitForWaiters(t, s, n-2)
+	unblock()
+	wg.Wait()
+
+	died, coalesced := 0, 0
+	for i := range statuses {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
+		}
+		switch statuses[i] {
+		case http.StatusInternalServerError:
+			if !bytes.Contains(bodies[i], []byte("contained panic")) {
+				t.Fatalf("request %d: 500 body %s does not report a contained panic", i, bodies[i])
+			}
+			died++
+		case http.StatusOK:
+			var vr VerifyResponse
+			if err := json.Unmarshal(bodies[i], &vr); err != nil {
+				t.Fatal(err)
+			}
+			if vr.Verdict.Outcome != "success" {
+				t.Fatalf("request %d: verdict %s, want success", i, vr.Verdict.Outcome)
+			}
+			if vr.Verdict.Coalesced {
+				coalesced++
+			}
+		default:
+			t.Fatalf("request %d: status %d: %s", i, statuses[i], bodies[i])
+		}
+	}
+	if died != 1 || coalesced != n-2 {
+		t.Fatalf("%d died and %d coalesced of %d, want 1 and %d", died, coalesced, n, n-2)
+	}
+	if got := s.Registry().Counter("serve.panics").Value(); got != int64(died) {
+		t.Fatalf("serve.panics = %d, want %d (one per 500)", got, died)
+	}
+	s.mu.Lock()
+	left := len(s.flights)
+	s.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights left registered after the storm", left)
+	}
+
+	faultinject.Reset()
+	resp, rbody := postVerify(t, ts.URL, &VerifyRequest{Files: testFiles(), Rule: "iadd_base"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("after reset: status %d: %s", resp.StatusCode, rbody)
+	}
+	var vr VerifyResponse
+	if err := json.Unmarshal(rbody, &vr); err != nil {
+		t.Fatal(err)
+	}
+	if vr.Verdict.Outcome != "success" {
+		t.Fatalf("after reset: verdict %s, want success", vr.Verdict.Outcome)
 	}
 }
 
