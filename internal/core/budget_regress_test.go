@@ -125,3 +125,87 @@ func TestBudgetedOutcomesX64(t *testing.T) {
 		"timeout":      3,
 	})
 }
+
+// reduceBudget is large enough that the x64 sweep's hard units learn
+// past the solver's learned-clause limit, so clause-database reduction
+// runs and its choice of which clauses to delete shapes the search. At
+// regressBudget it never runs, so the pins above do not guard it.
+const reduceBudget = 400_000
+
+// testReduceDBSearch sweeps prog at reduceBudget and pins the outcome
+// counts and the SAT work summed over every unit. A change to which
+// learned clauses reduction deletes moves the sums even when no verdict
+// flips. Exact key ties are rare on these corpora, so tie-breaking is
+// pinned at the sat level (TestSelectWorstMatchesSelectionSort).
+func testReduceDBSearch(t *testing.T, prog *isle.Program, want map[string]int, wantStats core.SolverStats) {
+	t.Helper()
+	got, units := sweepOutcomes(t, prog, core.Options{
+		PropagationBudget: reduceBudget,
+		Parallelism:       2,
+	})
+	if countsString(got) != countsString(want) {
+		t.Errorf("outcomes: got %s, want %s", countsString(got), countsString(want))
+	}
+	var sum core.SolverStats
+	for _, u := range units {
+		sum.Add(u.stats)
+	}
+	// Queries and structural-hashing merges depend on the front end, not
+	// on the search.
+	sum.Queries, sum.StructHashMerged = 0, 0
+	if sum != wantStats {
+		t.Errorf("summed SAT work:\n  got  %s restarts=%d\n  want %s restarts=%d",
+			sum, sum.Restarts, wantStats, wantStats.Restarts)
+	}
+}
+
+func TestReduceDBSearchX64(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus sweep")
+	}
+	prog, err := corpus.LoadX64()
+	if err != nil {
+		t.Fatal(err)
+	}
+	testReduceDBSearch(t, prog, map[string]int{
+		"inapplicable": 19,
+		"success":      63,
+		"timeout":      2,
+	}, core.SolverStats{
+		Propagations: 1140194,
+		Conflicts:    45043,
+		Decisions:    149219,
+		Restarts:     153,
+		ElimVars:     692,
+		Subsumed:     275,
+	})
+}
+
+func TestReduceDBSearchAmodeCVE(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus sweep")
+	}
+	var bug corpus.Bug
+	for _, b := range corpus.Bugs() {
+		if b.ID == "amode_cve" {
+			bug = b
+		}
+	}
+	prog, err := corpus.LoadBug(bug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	testReduceDBSearch(t, prog, map[string]int{
+		"failure":      3,
+		"inapplicable": 19,
+		"success":      63,
+		"timeout":      3,
+	}, core.SolverStats{
+		Propagations: 1593486,
+		Conflicts:    60629,
+		Decisions:    206457,
+		Restarts:     205,
+		ElimVars:     1161,
+		Subsumed:     418,
+	})
+}

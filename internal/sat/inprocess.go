@@ -125,6 +125,8 @@ const (
 func (s *Solver) inprocess(assumptions []Lit) {
 	s.lastInprocConfl = s.conflicts
 	s.inproc.Rounds++
+	// Every pass may delete or shrink clauses; compact on every way out.
+	defer s.collectGarbage()
 
 	// The current assumptions behave like frozen variables for this
 	// round: eliminating one would immediately restore it at the next
@@ -176,8 +178,9 @@ func (s *Solver) sweepRoot() bool {
 		if c.deleted {
 			continue
 		}
+		lits := s.lits(c)
 		sat := false
-		for _, l := range c.lits {
+		for _, l := range lits {
 			if s.value(l) == lTrue {
 				sat = true
 				break
@@ -190,22 +193,22 @@ func (s *Solver) sweepRoot() bool {
 			}
 			continue
 		}
-		out := c.lits[:0]
-		for _, l := range c.lits {
+		out := lits[:0]
+		for _, l := range lits {
 			if s.value(l) != lFalse {
 				out = append(out, l)
 			}
 		}
-		if len(out) < len(c.lits) && !c.learned {
-			s.inproc.Strengthened += int64(len(c.lits) - len(out))
+		if len(out) < len(lits) && !c.learned {
+			s.inproc.Strengthened += int64(len(lits) - len(out))
 		}
-		c.lits = out
-		switch len(c.lits) {
+		s.shrink(c, len(out))
+		switch len(out) {
 		case 0:
 			s.ok = false
 			return false
 		case 1:
-			u := c.lits[0]
+			u := out[0]
 			s.detachClause(clauseRef(i))
 			s.uncheckedEnqueue(u, nilReason)
 		}
@@ -213,15 +216,21 @@ func (s *Solver) sweepRoot() bool {
 	return true
 }
 
+// shrink cuts the clause to its first size literals, freeing the rest.
+func (s *Solver) shrink(c *clause, size int) {
+	s.garbage += int(c.size) - size
+	c.size = int32(size)
+}
+
 // buildOcc constructs occurrence lists over the live problem clauses.
 func (s *Solver) buildOcc() [][]clauseRef {
-	occ := make([][]clauseRef, 2*len(s.assign))
+	occ := make([][]clauseRef, len(s.vals))
 	for i := range s.clauses {
 		c := &s.clauses[i]
 		if c.deleted || c.learned {
 			continue
 		}
-		for _, l := range c.lits {
+		for _, l := range s.lits(c) {
 			occ[l] = append(occ[l], clauseRef(i))
 		}
 	}
@@ -247,11 +256,11 @@ func (s *Solver) subsume(occ [][]clauseRef) {
 	for i := range s.clauses {
 		c := &s.clauses[i]
 		if !c.deleted && !c.learned {
-			sigs[clauseRef(i)] = clauseSig(c.lits)
+			sigs[clauseRef(i)] = clauseSig(s.lits(c))
 		}
 	}
 	// stamp marks the literals of the current subsumer.
-	stamp := make([]int32, 2*len(s.assign))
+	stamp := make([]int32, len(s.vals))
 	round := int32(0)
 	steps := 0
 
@@ -261,18 +270,19 @@ func (s *Solver) subsume(occ [][]clauseRef) {
 		}
 		cref := clauseRef(i)
 		c := &s.clauses[i]
-		if c.deleted || c.learned || len(c.lits) > subsumerMaxLen || len(c.lits) < 2 {
+		if c.deleted || c.learned || c.size > subsumerMaxLen || c.size < 2 {
 			continue
 		}
 		// Least-occurring literal keeps candidate lists short.
-		min := c.lits[0]
-		for _, l := range c.lits[1:] {
+		lits := s.lits(c)
+		min := lits[0]
+		for _, l := range lits[1:] {
 			if len(occ[l]) < len(occ[min]) {
 				min = l
 			}
 		}
 		round++
-		for _, l := range c.lits {
+		for _, l := range lits {
 			stamp[l] = round
 		}
 		csig := sigs[cref]
@@ -282,18 +292,18 @@ func (s *Solver) subsume(occ [][]clauseRef) {
 					continue
 				}
 				d := &s.clauses[dref]
-				if d.deleted || len(d.lits) < len(c.lits) {
+				if d.deleted || d.size < c.size {
 					continue
 				}
 				if csig&^sigs[dref] != 0 {
 					continue
 				}
-				steps += len(d.lits)
+				steps += int(d.size)
 				// Count c's literals inside d, allowing one flip.
 				matched := 0
 				flips := 0
 				var flip Lit
-				for _, dl := range d.lits {
+				for _, dl := range s.lits(d) {
 					if stamp[dl] == round {
 						matched++
 					} else if stamp[dl.Not()] == round {
@@ -301,7 +311,7 @@ func (s *Solver) subsume(occ [][]clauseRef) {
 						flip = dl
 					}
 				}
-				if matched+flips < len(c.lits) || flips > 1 {
+				if matched+flips < len(lits) || flips > 1 {
 					continue
 				}
 				if flips == 0 {
@@ -324,21 +334,21 @@ func (s *Solver) subsume(occ [][]clauseRef) {
 // at the root. Returns false if the formula became unsatisfiable.
 func (s *Solver) strengthen(ref clauseRef, lit Lit, sigs map[clauseRef]uint64) bool {
 	c := &s.clauses[ref]
-	out := c.lits[:0]
-	for _, l := range c.lits {
+	out := s.lits(c)[:0]
+	for _, l := range s.lits(c) {
 		if l != lit {
 			out = append(out, l)
 		}
 	}
-	c.lits = out
+	s.shrink(c, len(out))
 	s.inproc.Strengthened++
-	sigs[ref] = clauseSig(c.lits)
-	switch len(c.lits) {
+	sigs[ref] = clauseSig(out)
+	switch len(out) {
 	case 0:
 		s.ok = false
 		return false
 	case 1:
-		u := c.lits[0]
+		u := out[0]
 		s.detachClause(ref)
 		delete(sigs, ref)
 		switch s.value(u) {
@@ -359,8 +369,8 @@ func (s *Solver) eliminate(occ [][]clauseRef) {
 		occ int
 	}
 	var cands []cand
-	for v := Var(0); int(v) < len(s.assign); v++ {
-		if s.frozen[v] || s.eliminated[v] || s.assign[v] != lUndef {
+	for v := Var(0); int(v) < s.NumVars(); v++ {
+		if s.frozen[v] || s.eliminated[v] || s.varValue(v) != lUndef {
 			continue
 		}
 		pos := s.liveOcc(occ, MkLit(v, false), v)
@@ -379,12 +389,12 @@ func (s *Solver) eliminate(occ [][]clauseRef) {
 		}
 	}
 
-	seen := make([]int32, 2*len(s.assign))
+	seen := make([]int32, len(s.vals))
 	round := int32(0)
 
 	for _, cd := range cands {
 		v := cd.v
-		if s.assign[v] != lUndef {
+		if s.varValue(v) != lUndef {
 			continue // a unit from an earlier elimination reached v
 		}
 		pos := s.liveOcc(occ, MkLit(v, false), v)
@@ -424,9 +434,9 @@ func (s *Solver) eliminate(occ [][]clauseRef) {
 		// add the resolvents.
 		for _, refs := range [][]clauseRef{pos, neg} {
 			for _, ref := range refs {
-				c := &s.clauses[ref]
+				lits := s.lits(&s.clauses[ref])
 				var wit Lit
-				for _, l := range c.lits {
+				for _, l := range lits {
 					if l.Var() == v {
 						wit = l
 						break
@@ -434,7 +444,7 @@ func (s *Solver) eliminate(occ [][]clauseRef) {
 				}
 				s.extStack = append(s.extStack, extEntry{
 					witness: wit,
-					lits:    append([]Lit(nil), c.lits...),
+					lits:    append([]Lit(nil), lits...),
 					active:  true,
 				})
 				s.extIdx[v] = append(s.extIdx[v], len(s.extStack)-1)
@@ -477,7 +487,7 @@ func (s *Solver) liveOcc(occ [][]clauseRef, l Lit, v Var) []clauseRef {
 			continue
 		}
 		has := false
-		for _, cl := range c.lits {
+		for _, cl := range s.lits(c) {
 			if cl == l {
 				has = true
 				break
@@ -494,7 +504,7 @@ func (s *Solver) liveOcc(occ [][]clauseRef, l Lit, v Var) []clauseRef {
 // tautology. seen/round implement stamp-based duplicate removal.
 func (s *Solver) resolve(pr, nr clauseRef, v Var, seen []int32, round int32) []Lit {
 	var out []Lit
-	for _, l := range s.clauses[pr].lits {
+	for _, l := range s.lits(&s.clauses[pr]) {
 		if l.Var() == v {
 			continue
 		}
@@ -503,7 +513,7 @@ func (s *Solver) resolve(pr, nr clauseRef, v Var, seen []int32, round int32) []L
 			out = append(out, l)
 		}
 	}
-	for _, l := range s.clauses[nr].lits {
+	for _, l := range s.lits(&s.clauses[nr]) {
 		if l.Var() == v {
 			continue
 		}
@@ -556,7 +566,7 @@ func (s *Solver) restore(v Var) {
 // addRestoredClause re-adds a stored original clause, handling root
 // simplification (the root state may have grown since elimination).
 func (s *Solver) addRestoredClause(lits []Lit) {
-	out := make([]Lit, 0, len(lits))
+	out := s.restoreTmp[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -566,6 +576,7 @@ func (s *Solver) addRestoredClause(lits []Lit) {
 		}
 		out = append(out, l)
 	}
+	s.restoreTmp = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -624,7 +635,7 @@ func (s *Solver) vivify() {
 		i := int(s.vivCursor % int64(n))
 		s.vivCursor++
 		c := &s.clauses[i]
-		if c.deleted || c.learned || len(c.lits) < 3 || len(c.lits) > bveMaxResolventLen {
+		if c.deleted || c.learned || c.size < 3 || c.size > bveMaxResolventLen {
 			continue
 		}
 		visited++
@@ -634,7 +645,7 @@ func (s *Solver) vivify() {
 		// of deleted clauses, so the only safe way to take it out of
 		// play is a full eager detach. It is re-added afterwards —
 		// shortened or verbatim — through the root-aware add path.
-		lits := append([]Lit(nil), c.lits...)
+		lits := append([]Lit(nil), s.lits(c)...)
 		s.detachClauseWatched(clauseRef(i))
 		newLits := make([]Lit, 0, len(lits))
 		shortened := false
@@ -681,8 +692,8 @@ func (s *Solver) vivify() {
 // attached clauses, and leaving stale watchers would make the lazy
 // c.deleted checks load-bearing for the rest of the solver's life.
 func (s *Solver) detachClauseWatched(ref clauseRef) {
-	c := &s.clauses[ref]
-	for _, wl := range []Lit{c.lits[0].Not(), c.lits[1].Not()} {
+	lits := s.lits(&s.clauses[ref])
+	for _, wl := range []Lit{lits[0].Not(), lits[1].Not()} {
 		ws := s.watches[wl]
 		for i := range ws {
 			if ws[i].ref == ref {
@@ -701,16 +712,18 @@ func (s *Solver) detachClauseWatched(ref clauseRef) {
 // flipped to true (Järvisalo–Biere witness reconstruction). The result
 // lives in s.model, which Value prefers over the trail.
 func (s *Solver) reconstructModel() {
-	s.model = append(s.model[:0], s.assign...)
 	// Totalize first: Value reads unassigned as false, and the replay's
 	// satisfaction checks must agree with that final reading — an undef
 	// literal treated as "unsatisfied" here but "false, hence ¬l true"
 	// later would trigger spurious witness flips that break entries
 	// already processed.
-	for i, v := range s.model {
-		if v == lUndef {
-			s.model[i] = lFalse
+	s.model = s.model[:0]
+	for v := Var(0); int(v) < s.NumVars(); v++ {
+		a := s.varValue(v)
+		if a == lUndef {
+			a = lFalse
 		}
+		s.model = append(s.model, a)
 	}
 	for i := len(s.extStack) - 1; i >= 0; i-- {
 		e := &s.extStack[i]

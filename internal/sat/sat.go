@@ -4,18 +4,23 @@
 // It is the decision procedure underneath internal/smt: bitvector
 // verification conditions are bit-blasted to CNF and decided here. The
 // solver implements the standard modern architecture: two-watched-literal
-// propagation, first-UIP conflict analysis with recursive clause
+// propagation, first-UIP conflict analysis with local (one-level) clause
 // minimization, exponential VSIDS branching with phase saving, Luby
 // restarts, and activity/LBD-driven deletion of learned clauses. Solving
-// supports assumptions (for incremental queries) and a wall-clock deadline
-// (verification queries on hard multiplier/divider circuits are expected to
-// time out, mirroring the paper's §4.1 timeouts).
+// supports assumptions (for incremental queries) and three resource
+// limits: a deterministic per-call propagation budget, a wall-clock
+// deadline and context cancellation (verification queries on hard
+// multiplier/divider circuits are expected to run out, mirroring the
+// paper's §4.1 timeouts).
+//
+// Clause storage is flat: every clause's literals live back to back in
+// one pointer-free arena per solver, addressed by a stable index into
+// the clause headers (see clause).
 package sat
 
 import (
 	"context"
 	"errors"
-	"math"
 	"time"
 
 	"crocus/internal/faultinject"
@@ -92,8 +97,7 @@ func (r StopReason) String() string {
 	}
 }
 
-// lbool is a three-valued assignment: 0 undefined, 1 true, 2 false,
-// stored per-variable and interpreted per-literal via xor with the sign.
+// lbool is a three-valued assignment: 0 undefined, 1 true, 2 false.
 type lbool uint8
 
 const (
@@ -102,13 +106,19 @@ const (
 	lFalse lbool = 2
 )
 
-// clauseRef indexes into the solver's clause arena.
+// clauseRef is a clause's creation index into Solver.clauses. It never
+// changes: compaction moves literals, not headers.
 type clauseRef int32
 
 const nilReason clauseRef = -1
 
+// clause is a clause header. Its literals are arena[start:start+size];
+// the header holds no pointer, so the GC never scans the clause set.
+// Shrinking a clause in place lowers size and deleting it sets size to 0;
+// both leave the freed literals in the arena as garbage until compact.
 type clause struct {
-	lits     []Lit
+	start    int32
+	size     int32
 	activity float64
 	lbd      int32
 	learned  bool
@@ -123,9 +133,11 @@ type watcher struct {
 // Solver is a CDCL SAT solver instance. Zero value is not usable; call New.
 type Solver struct {
 	clauses []clause
+	arena   []Lit       // every clause's literals, in clause order
+	garbage int         // arena literals no live clause uses
 	watches [][]watcher // indexed by Lit
 
-	assign   []lbool // per variable
+	vals     []lbool // per literal: value(l) is vals[l]
 	level    []int32
 	reason   []clauseRef
 	trail    []Lit
@@ -140,6 +152,7 @@ type Solver struct {
 
 	seen     []bool
 	seenTmp  []Var
+	lbdStamp []int64 // per decision level: the last conflict that counted it
 	claInc   float64
 	learnts  int
 	maxLearn int
@@ -165,6 +178,14 @@ type Solver struct {
 	core []Lit // final conflict of the last assumption-failed Solve
 
 	ok bool // false once UNSAT at level 0
+
+	// Scratch buffers, reused so that search allocates nothing per
+	// conflict. newClause copies out of them into the arena. AddClause
+	// and addRestoredClause each own one because AddClause may restore
+	// eliminated variables.
+	learntTmp  []Lit
+	addTmp     []Lit
+	restoreTmp []Lit
 
 	// Inprocessing state (inprocess.go).
 	inprocOn        bool
@@ -193,7 +214,7 @@ func New() *Solver {
 }
 
 // NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return len(s.assign) }
+func (s *Solver) NumVars() int { return len(s.vals) / 2 }
 
 // NumClauses returns the number of problem (non-learned) clauses added.
 func (s *Solver) NumClauses() int {
@@ -235,31 +256,42 @@ func (s *Solver) FinalConflict() []Lit { return s.core }
 
 // NewVar allocates a fresh variable.
 func (s *Solver) NewVar() Var {
-	v := Var(len(s.assign))
-	s.assign = append(s.assign, lUndef)
+	v := Var(s.NumVars())
+	s.vals = append(s.vals, lUndef, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nilReason)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, false)
-	s.watches = append(s.watches, nil, nil)
+	s.watches = append(grow(s.watches, 2), nil, nil)
 	s.frozen = append(s.frozen, false)
 	s.eliminated = append(s.eliminated, false)
 	s.order.insert(v)
 	return v
 }
 
+// grow returns xs with room for n more elements, doubling its capacity
+// when it is full. append grows a large slice about 1.25x at a time, so
+// filling it to n elements copies about 4n of them; doubling copies n.
+func grow[T any](xs []T, n int) []T {
+	if len(xs)+n <= cap(xs) {
+		return xs
+	}
+	ys := make([]T, len(xs), max(2*cap(xs), len(xs)+n, 16))
+	copy(ys, xs)
+	return ys
+}
+
 // value returns the literal's current assignment.
-func (s *Solver) value(l Lit) lbool {
-	a := s.assign[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	// Flip true<->false for negative literals.
-	if l.Neg() {
-		return a ^ 3
-	}
-	return a
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
+
+// varValue returns the variable's current assignment.
+func (s *Solver) varValue(v Var) lbool { return s.vals[MkLit(v, false)] }
+
+// lits returns the clause's literals, an arena slice that is valid until
+// the next newClause or compact.
+func (s *Solver) lits(c *clause) []Lit {
+	return s.arena[c.start : c.start+c.size : c.start+c.size]
 }
 
 // SetBudget limits the number of propagations each subsequent Solve call
@@ -298,7 +330,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	s.cancelUntil(0) // drop any model left over from a previous Solve
 	s.model = s.model[:0]
 	for _, l := range lits {
-		if int(l.Var()) >= len(s.assign) {
+		if int(l.Var()) >= s.NumVars() {
 			panic(ErrNoVar)
 		}
 	}
@@ -314,7 +346,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	// Simplify: drop false/duplicate literals, detect tautologies.
-	out := lits[:0:0]
+	out := s.addTmp[:0]
 	for _, l := range lits {
 		switch s.value(l) {
 		case lTrue:
@@ -336,6 +368,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 			out = append(out, l)
 		}
 	}
+	s.addTmp = out
 	switch len(out) {
 	case 0:
 		s.ok = false
@@ -352,9 +385,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	return true
 }
 
+// newClause copies lits to the end of the arena under a new header.
 func (s *Solver) newClause(lits []Lit, learned bool) clauseRef {
 	ref := clauseRef(len(s.clauses))
-	s.clauses = append(s.clauses, clause{lits: lits, learned: learned})
+	start := int32(len(s.arena))
+	s.arena = append(grow(s.arena, len(lits)), lits...)
+	s.clauses = append(grow(s.clauses, 1), clause{start: start, size: int32(len(lits)), learned: learned})
 	if learned {
 		s.learnts++
 	}
@@ -362,18 +398,15 @@ func (s *Solver) newClause(lits []Lit, learned bool) clauseRef {
 }
 
 func (s *Solver) attachClause(ref clauseRef) {
-	c := &s.clauses[ref]
-	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{ref, c.lits[1]})
-	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{ref, c.lits[0]})
+	lits := s.lits(&s.clauses[ref])
+	s.watches[lits[0].Not()] = append(s.watches[lits[0].Not()], watcher{ref, lits[1]})
+	s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{ref, lits[0]})
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from clauseRef) {
 	v := l.Var()
-	if l.Neg() {
-		s.assign[v] = lFalse
-	} else {
-		s.assign[v] = lTrue
-	}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.trail = append(s.trail, l)
@@ -400,21 +433,22 @@ func (s *Solver) propagate() clauseRef {
 			if c.deleted {
 				continue
 			}
+			lits := s.lits(c)
 			// Normalize so that the false literal (p.Not()) is lits[1].
-			if c.lits[0] == p.Not() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
+			if lits[0] == p.Not() {
+				lits[0], lits[1] = lits[1], lits[0]
 			}
-			first := c.lits[0]
+			first := lits[0]
 			if first != w.blocker && s.value(first) == lTrue {
 				ws[j] = watcher{w.ref, first}
 				j++
 				continue
 			}
 			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{w.ref, first})
+			for k := 2; k < len(lits); k++ {
+				if s.value(lits[k]) != lFalse {
+					lits[1], lits[k] = lits[k], lits[1]
+					s.watches[lits[1].Not()] = append(s.watches[lits[1].Not()], watcher{w.ref, first})
 					continue nextWatcher
 				}
 			}
@@ -448,9 +482,10 @@ func (s *Solver) cancelUntil(lvl int) {
 		l := s.trail[i]
 		v := l.Var()
 		s.polarity[v] = l.Neg()
-		s.assign[v] = lUndef
+		s.vals[l] = lUndef
+		s.vals[l.Not()] = lUndef
 		s.reason[v] = nilReason
-		s.order.insertIfAbsent(v)
+		s.order.insert(v)
 	}
 	s.trail = s.trail[:s.trailLim[lvl]]
 	s.trailLim = s.trailLim[:lvl]
@@ -503,8 +538,9 @@ func (s *Solver) bumpClause(ref clauseRef) {
 
 // analyze performs 1UIP conflict analysis and returns the learned clause
 // (with the asserting literal first) and the backjump level.
+// The clause lives in a scratch buffer that the next analyze reuses.
 func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 reserved for the asserting literal
+	learnt := append(s.learntTmp[:0], 0) // slot 0 reserved for the asserting literal
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
@@ -518,7 +554,7 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 		if p != -1 {
 			start = 1 // skip the asserting literal slot of the reason
 		}
-		for _, q := range c.lits[start:] {
+		for _, q := range s.lits(c)[start:] {
 			v := q.Var()
 			if s.seen[v] || s.level[v] == 0 {
 				continue
@@ -545,11 +581,11 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 			break
 		}
 		// Reason normalization: ensure p is lits[0] of its reason.
-		c = &s.clauses[confl]
-		if c.lits[0] != p {
-			for k := 1; k < len(c.lits); k++ {
-				if c.lits[k] == p {
-					c.lits[0], c.lits[k] = c.lits[k], c.lits[0]
+		lits := s.lits(&s.clauses[confl])
+		if lits[0] != p {
+			for k := 1; k < len(lits); k++ {
+				if lits[k] == p {
+					lits[0], lits[k] = lits[k], lits[0]
 					break
 				}
 			}
@@ -582,6 +618,7 @@ func (s *Solver) analyze(confl clauseRef) ([]Lit, int) {
 		s.seen[v] = false
 	}
 	s.seenTmp = s.seenTmp[:0]
+	s.learntTmp = learnt
 	return learnt, bj
 }
 
@@ -606,7 +643,7 @@ func (s *Solver) analyzeFinal(a Lit) []Lit {
 			// A pseudo-decision above level 0 is an assumption literal.
 			out = append(out, s.trail[i])
 		} else {
-			for _, l := range s.clauses[s.reason[v]].lits {
+			for _, l := range s.lits(&s.clauses[s.reason[v]]) {
 				if l.Var() != v && s.level[l.Var()] > 0 {
 					s.seen[l.Var()] = true
 				}
@@ -626,7 +663,7 @@ func (s *Solver) redundant(q Lit) bool {
 	if r == nilReason {
 		return false
 	}
-	for _, m := range s.clauses[r].lits {
+	for _, m := range s.lits(&s.clauses[r]) {
 		if m.Var() == q.Var() {
 			continue
 		}
@@ -637,53 +674,105 @@ func (s *Solver) redundant(q Lit) bool {
 	return true
 }
 
+// computeLBD counts the distinct decision levels among lits. It runs
+// once per conflict, so the distinct levels are stamped with the
+// conflict count rather than collected in a set.
 func (s *Solver) computeLBD(lits []Lit) int32 {
-	levels := map[int32]struct{}{}
+	n := int32(0)
 	for _, l := range lits {
-		levels[s.level[l.Var()]] = struct{}{}
+		lv := s.level[l.Var()]
+		if int(lv) >= len(s.lbdStamp) {
+			s.lbdStamp = append(s.lbdStamp, make([]int64, int(lv)+1-len(s.lbdStamp))...)
+		}
+		if s.lbdStamp[lv] != s.conflicts {
+			s.lbdStamp[lv] = s.conflicts
+			n++
+		}
 	}
-	return int32(len(levels))
+	return n
+}
+
+// reduceCand is a learned clause reduceDB may delete, keyed so that
+// larger keys go first.
+type reduceCand struct {
+	ref clauseRef
+	key float64
 }
 
 func (s *Solver) reduceDB() {
 	// Delete roughly half of the learned clauses, preferring high-LBD,
 	// low-activity ones. Clauses currently acting as reasons are kept.
-	type cand struct {
-		ref clauseRef
-		key float64
-	}
-	var cands []cand
+	var cands []reduceCand
 	for i := range s.clauses {
 		c := &s.clauses[i]
-		if !c.learned || c.deleted || len(c.lits) <= 2 || c.lbd <= 2 {
+		if !c.learned || c.deleted || c.size <= 2 || c.lbd <= 2 {
 			continue
 		}
 		if s.isReason(clauseRef(i)) {
 			continue
 		}
-		cands = append(cands, cand{clauseRef(i), float64(c.lbd)*1e6 - c.activity})
+		cands = append(cands, reduceCand{clauseRef(i), float64(c.lbd)*1e6 - c.activity})
 	}
-	// Partial selection sort of the worst half.
 	n := len(cands) / 2
-	for i := 0; i < n; i++ {
-		maxJ := i
-		for j := i + 1; j < len(cands); j++ {
-			if cands[j].key > cands[maxJ].key {
-				maxJ = j
-			}
+	selectWorst(cands, n)
+	for _, c := range cands[:n] {
+		s.detachClause(c.ref)
+	}
+	s.collectGarbage()
+}
+
+// selectWorst arranges cands exactly as n steps of a partial selection
+// sort do: step i swaps the first maximum of cands[i:] into slot i. Ties
+// therefore go to the lowest slot in the arrangement the earlier swaps
+// left behind, not in the original order. A tournament tree over the
+// slots finds each step's first maximum in O(log len(cands)), where the
+// sort's scan takes O(len(cands)).
+func selectWorst(cands []reduceCand, n int) {
+	leaves := 1
+	for leaves < len(cands) {
+		leaves *= 2
+	}
+	// tree[k] is the slot holding the first maximum below node k, or -1
+	// when every slot below k is empty or already selected; the leaf for
+	// slot i is tree[leaves+i].
+	tree := make([]int32, 2*leaves)
+	for i := range leaves {
+		tree[leaves+i] = -1
+		if i < len(cands) {
+			tree[leaves+i] = int32(i)
 		}
-		cands[i], cands[maxJ] = cands[maxJ], cands[i]
-		s.detachClause(cands[i].ref)
+	}
+	// first returns the winner of two nodes, a covering the lower slots.
+	first := func(a, b int32) int32 {
+		if a < 0 || b >= 0 && cands[b].key > cands[a].key {
+			return b
+		}
+		return a
+	}
+	for k := leaves - 1; k > 0; k-- {
+		tree[k] = first(tree[2*k], tree[2*k+1])
+	}
+	replay := func(i int) {
+		for k := (leaves + i) / 2; k > 0; k /= 2 {
+			tree[k] = first(tree[2*k], tree[2*k+1])
+		}
+	}
+	for i := 0; i < n; i++ {
+		j := int(tree[1])
+		cands[i], cands[j] = cands[j], cands[i]
+		tree[leaves+i] = -1
+		replay(i)
+		replay(j)
 	}
 }
 
 func (s *Solver) isReason(ref clauseRef) bool {
 	c := &s.clauses[ref]
-	if len(c.lits) == 0 {
+	if c.size == 0 {
 		return false
 	}
-	v := c.lits[0].Var()
-	return s.assign[v] != lUndef && s.reason[v] == ref
+	v := s.arena[c.start].Var()
+	return s.varValue(v) != lUndef && s.reason[v] == ref
 }
 
 func (s *Solver) detachClause(ref clauseRef) {
@@ -692,7 +781,34 @@ func (s *Solver) detachClause(ref clauseRef) {
 	if c.learned {
 		s.learnts--
 	}
-	c.lits = nil
+	s.garbage += int(c.size)
+	c.size = 0
+}
+
+// collectGarbage compacts the arena once more than half of it is
+// garbage. It runs at the end of reduceDB and of an inprocessing round,
+// the only places clauses are deleted or shrunk, so the arena stays
+// within twice the live literals however long a solve runs.
+func (s *Solver) collectGarbage() {
+	if 2*s.garbage > len(s.arena) {
+		s.compact()
+	}
+}
+
+// compact slides the live clauses' literals down over the garbage in
+// clause order. Clauses are appended in creation order and only ever
+// shrink in place, so each clause's literals move to a lower address or
+// stay put, and no clauseRef changes.
+func (s *Solver) compact() {
+	n := int32(0)
+	for i := range s.clauses {
+		c := &s.clauses[i]
+		copy(s.arena[n:], s.lits(c))
+		c.start = n
+		n += c.size
+	}
+	s.arena = s.arena[:n]
+	s.garbage = 0
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -873,7 +989,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		var next Var = -1
 		for !s.order.empty() {
 			v := s.order.removeMax()
-			if s.assign[v] == lUndef && !s.eliminated[v] {
+			if s.varValue(v) == lUndef && !s.eliminated[v] {
 				next = v
 				break
 			}
@@ -900,7 +1016,7 @@ func (s *Solver) Value(v Var) bool {
 	if int(v) < len(s.model) {
 		return s.model[v] == lTrue
 	}
-	return s.assign[v] == lTrue
+	return s.varValue(v) == lTrue
 }
 
 // varHeap is an indexed max-heap ordered by activity.
@@ -927,8 +1043,6 @@ func (h *varHeap) insert(v Var) {
 	h.heap = append(h.heap, v)
 	h.siftUp(int(h.pos[v]))
 }
-
-func (h *varHeap) insertIfAbsent(v Var) { h.insert(v) }
 
 func (h *varHeap) update(v Var) {
 	if int(v) < len(h.pos) && h.pos[v] != -1 {
@@ -985,7 +1099,3 @@ func (h *varHeap) siftDown(i int) {
 	h.heap[i] = v
 	h.pos[v] = int32(i)
 }
-
-// mathInf guards against NaN activities ever entering the heap; kept for
-// debugging builds.
-var _ = math.Inf
