@@ -329,8 +329,8 @@ func BenchmarkAblationWidthScaling(b *testing.B) {
 
 // BenchmarkVerifyCorpusIncremental measures the full aarch64 corpus
 // sweep, each verification unit solving its queries on one session of
-// its own. The one-second timeout matches crocus-bench's default
-// backstop; the hard mul/div instances hit that ceiling.
+// its own, under a one-second wall-clock timeout that the hard mul/div
+// instances hit.
 func BenchmarkVerifyCorpusIncremental(b *testing.B) {
 	prog, err := corpus.LoadAarch64()
 	if err != nil {

@@ -23,8 +23,12 @@
 // all of its queries on one SMT session of its own (word-level
 // simplification, learned clauses kept across the unit's queries,
 // assumption-guarded queries), so a unit's verdict never depends on
-// -parallel or on which other units ran before it. The benchmark
-// report lives in cmd/crocus-bench.
+// -parallel or on which other units ran before it. The repository
+// benchmark is perfbench (bash perfbench/run.sh).
+//
+// With -server, the run is verified by the daemon, and a flag only a
+// local run reads (-parallel, -cache-dir, -shard, -journal, -trace,
+// -profile-rules, ...) is an error rather than silently ignored.
 package main
 
 import (
@@ -84,6 +88,35 @@ func parseShard(s string) (int, int, error) {
 	return idx, cnt, nil
 }
 
+// localOnlyFlags are the flags the -server client path never reads,
+// each mapped to a note its rejection message carries.
+var localOnlyFlags = map[string]string{
+	"shard":         "",
+	"journal":       " (the daemon's vcache already persists results)",
+	"parallel":      "",
+	"cache-dir":     "",
+	"overlap":       "",
+	"inject-panic":  "",
+	"profile-rules": "",
+	"profile-top":   "",
+	"trace":         "",
+	"trace-jsonl":   "",
+	"metrics":       "",
+	"pprof-addr":    "",
+}
+
+// checkClientFlags rejects a -server run that sets a local-only flag,
+// which the run would otherwise drop without a word.
+func checkClientFlags(fs *flag.FlagSet) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if note, ok := localOnlyFlags[f.Name]; ok && err == nil {
+			err = fmt.Errorf("-%s applies to local sweeps, not -server runs%s", f.Name, note)
+		}
+	})
+	return err
+}
+
 // runCacheMerge is the -cache-merge mode: union the source stores into
 // the destination directory and report. Conflicting decided verdicts
 // (the same unit fingerprint with different outcomes) keep the
@@ -112,35 +145,40 @@ func runCacheMerge(dstDir, srcList string) int {
 	return 0
 }
 
+// The command-line flags live at package level, so the tests see the
+// exact set main parses.
+var (
+	timeout       = flag.Duration("timeout", 5*time.Second, "per-unit solver deadline")
+	ruleName      = flag.String("rule", "", "verify only the named rule")
+	distinct      = flag.Bool("distinct", false, "run the distinct-models check (§3.2.1)")
+	corpusName    = flag.String("corpus", "aarch64", "embedded corpus: aarch64, x64, midend, or bug:<id>")
+	custom        = flag.Bool("custom-vc", false, "apply the corpus's custom verification conditions")
+	overlap       = flag.Bool("overlap", false, "run the multi-rule overlap/priority analysis instead of verification")
+	parallel      = flag.Int("parallel", 1, "concurrent verification workers scheduling (rule, instantiation) units work-stealingly (1 = one worker, <= 0 = all CPUs)")
+	stats         = flag.Bool("stats", false, "print cumulative SAT statistics (propagations/conflicts/decisions/queries) per rule")
+	cacheDir      = flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
+	budget        = flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
+	retryBudgets  = flag.String("retry-budgets", "", "timeout-escalation ladder: comma-separated propagation budgets to retry timed-out units at (ascending; 0 = unlimited final rung)")
+	injectPanic   = flag.String("inject-panic", "", "fault-injection: install a custom VC that panics for the named rule (testing the containment path)")
+	traceFile     = flag.String("trace", "", "write a Chrome trace-event JSON file of the run's pipeline spans (load in Perfetto or chrome://tracing)")
+	traceJSONL    = flag.String("trace-jsonl", "", "write the run's pipeline spans as a JSONL event stream")
+	metrics       = flag.Bool("metrics", false, "print the metrics registry and the per-rule phase-breakdown table after the run")
+	pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
+	server        = flag.String("server", "", "submit the run to a crocus-serve daemon at this base URL (e.g. http://localhost:8742) instead of verifying locally")
+	shard         = flag.String("shard", "", "verify only one shard of the corpus's verification units, as i/n (e.g. 0/2): units are partitioned by content fingerprint, so n processes with distinct i cover the corpus exactly once; combine with per-shard -cache-dir and -cache-merge")
+	cacheMerge    = flag.String("cache-merge", "", "merge mode: union the comma-separated source cache directories into -cache-dir (conflict-checked) and exit without verifying")
+	journal       = flag.Bool("journal", false, "record completed verification units in a sweep journal under -cache-dir so a killed sweep resumes where it died (requires -cache-dir)")
+	faults        = flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
+	serverTimeout = flag.Duration("server-timeout", 2*time.Minute, "per-attempt HTTP timeout for -server requests")
+	serverRetries = flag.Int("server-retries", 3, "retries after the first -server attempt on 429/5xx/connection errors (capped exponential backoff with jitter, honoring Retry-After; 0 disables)")
+	hedgeAfter    = flag.Duration("hedge-after", 0, "launch a hedged duplicate -server request if no response after this long (0 disables; safe: the daemon coalesces identical in-flight work)")
+	profileRules  = flag.String("profile-rules", "", "write a rule-hardness profile (per-rule wall time, SAT statistics, escalations, cache state, ranked by cost) as JSON to this file and print the top rules")
+	profileTop    = flag.Int("profile-top", 15, "rows in the printed rule-hardness table (-profile-rules)")
+	logFormat     = flag.String("log-format", "text", "diagnostic log format on stderr: text or json")
+	logLevel      = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
+)
+
 func main() {
-	timeout := flag.Duration("timeout", 5*time.Second, "per-unit solver deadline")
-	ruleName := flag.String("rule", "", "verify only the named rule")
-	distinct := flag.Bool("distinct", false, "run the distinct-models check (§3.2.1)")
-	corpusName := flag.String("corpus", "aarch64", "embedded corpus: aarch64, x64, midend, or bug:<id>")
-	custom := flag.Bool("custom-vc", false, "apply the corpus's custom verification conditions")
-	overlap := flag.Bool("overlap", false, "run the multi-rule overlap/priority analysis instead of verification")
-	parallel := flag.Int("parallel", 1, "concurrent verification workers scheduling (rule, instantiation) units work-stealingly (1 = one worker, <= 0 = all CPUs)")
-	stats := flag.Bool("stats", false, "print cumulative SAT statistics (propagations/conflicts/decisions/queries) per rule")
-	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
-	budget := flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
-	retryBudgets := flag.String("retry-budgets", "", "timeout-escalation ladder: comma-separated propagation budgets to retry timed-out units at (ascending; 0 = unlimited final rung)")
-	injectPanic := flag.String("inject-panic", "", "fault-injection: install a custom VC that panics for the named rule (testing the containment path)")
-	traceFile := flag.String("trace", "", "write a Chrome trace-event JSON file of the run's pipeline spans (load in Perfetto or chrome://tracing)")
-	traceJSONL := flag.String("trace-jsonl", "", "write the run's pipeline spans as a JSONL event stream")
-	metrics := flag.Bool("metrics", false, "print the metrics registry and the per-rule phase-breakdown table after the run")
-	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
-	server := flag.String("server", "", "submit the run to a crocus-serve daemon at this base URL (e.g. http://localhost:8742) instead of verifying locally")
-	shard := flag.String("shard", "", "verify only one shard of the corpus's verification units, as i/n (e.g. 0/2): units are partitioned by content fingerprint, so n processes with distinct i cover the corpus exactly once; combine with per-shard -cache-dir and -cache-merge")
-	cacheMerge := flag.String("cache-merge", "", "merge mode: union the comma-separated source cache directories into -cache-dir (conflict-checked) and exit without verifying")
-	journal := flag.Bool("journal", false, "record completed verification units in a sweep journal under -cache-dir so a killed sweep resumes where it died (requires -cache-dir)")
-	faults := flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
-	serverTimeout := flag.Duration("server-timeout", 2*time.Minute, "per-attempt HTTP timeout for -server requests")
-	serverRetries := flag.Int("server-retries", 3, "retries after the first -server attempt on 429/5xx/connection errors (capped exponential backoff with jitter, honoring Retry-After; 0 disables)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "launch a hedged duplicate -server request if no response after this long (0 disables; safe: the daemon coalesces identical in-flight work)")
-	profileRules := flag.String("profile-rules", "", "write a rule-hardness profile (per-rule wall time, SAT statistics, escalations, cache state, ranked by cost) as JSON to this file and print the top rules")
-	profileTop := flag.Int("profile-top", 15, "rows in the printed rule-hardness table (-profile-rules)")
-	logFormat := flag.String("log-format", "text", "diagnostic log format on stderr: text or json")
-	logLevel := flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
 	flag.Parse()
 
 	logger := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
@@ -174,12 +212,8 @@ func main() {
 	}
 
 	if *server != "" {
-		if shardCnt > 1 {
-			fmt.Fprintln(os.Stderr, "crocus: -shard applies to local sweeps, not -server runs")
-			os.Exit(1)
-		}
-		if *journal {
-			fmt.Fprintln(os.Stderr, "crocus: -journal applies to local sweeps, not -server runs (the daemon's vcache already persists results)")
+		if err := checkClientFlags(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, "crocus:", err)
 			os.Exit(1)
 		}
 		ladder, err := parseBudgets(*retryBudgets)

@@ -16,6 +16,7 @@ package core_test
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -30,7 +31,7 @@ import (
 // actually guards the timeout count).
 const regressBudget = 50_000
 
-func sweepOutcomes(t *testing.T, prog *isle.Program, opts core.Options) (map[string]int, []unitVerdict) {
+func sweepOutcomes(t *testing.T, prog *isle.Program, opts core.Options) (map[string]int, []unitVerdict, []*core.RuleResult) {
 	t.Helper()
 	v := core.New(prog, opts)
 	rs, err := v.VerifyAll()
@@ -43,7 +44,7 @@ func sweepOutcomes(t *testing.T, prog *isle.Program, opts core.Options) (map[str
 			counts[io.Outcome.String()]++
 		}
 	}
-	return counts, flattenResults(rs)
+	return counts, flattenResults(rs), rs
 }
 
 func countsString(m map[string]int) string {
@@ -64,7 +65,7 @@ func testBudgetedOutcomes(t *testing.T, load func() (*isle.Program, error), want
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, pinned := sweepOutcomes(t, prog, core.Options{
+	got, pinned, _ := sweepOutcomes(t, prog, core.Options{
 		PropagationBudget: regressBudget,
 		Parallelism:       4,
 	})
@@ -84,8 +85,8 @@ func testBudgetedOutcomes(t *testing.T, load func() (*isle.Program, error), want
 	// never meaning. Budget-boundary units may legitimately flip between
 	// decided and timeout (the encodings differ, so the same budget buys
 	// a different amount of search), so timeout is compatible with
-	// anything — exactly the bench artifact's comparison rule.
-	_, plain := sweepOutcomes(t, prog, core.Options{
+	// anything.
+	_, plain, _ := sweepOutcomes(t, prog, core.Options{
 		PropagationBudget: regressBudget,
 		Parallelism:       4,
 		NoInprocess:       true,
@@ -132,23 +133,35 @@ func TestBudgetedOutcomesX64(t *testing.T) {
 // regressBudget it never runs, so the pins above do not guard it.
 const reduceBudget = 400_000
 
-// testReduceDBSearch sweeps prog at reduceBudget and pins the outcome
+// testReduceDBSearch sweeps prog at reduceBudget, with the custom
+// verification conditions when custom is not nil, and pins the outcome
 // counts and the SAT work summed over every unit. A change to which
 // learned clauses reduction deletes moves the sums even when no verdict
 // flips. Exact key ties are rare on these corpora, so tie-breaking is
-// pinned at the sat level (TestSelectWorstMatchesSelectionSort).
-func testReduceDBSearch(t *testing.T, prog *isle.Program, want map[string]int, wantStats core.SolverStats) {
+// pinned at the sat level (TestSelectWorstMatchesSelectionSort). The
+// sweep's hardness profile is returned; its per-rule stats must add up
+// to the same sums.
+func testReduceDBSearch(t *testing.T, prog *isle.Program, custom map[string]*core.CustomVC, want map[string]int, wantStats core.SolverStats) *core.HardnessProfile {
 	t.Helper()
-	got, units := sweepOutcomes(t, prog, core.Options{
+	got, units, rs := sweepOutcomes(t, prog, core.Options{
 		PropagationBudget: reduceBudget,
 		Parallelism:       2,
+		Custom:            custom,
 	})
 	if countsString(got) != countsString(want) {
 		t.Errorf("outcomes: got %s, want %s", countsString(got), countsString(want))
 	}
-	var sum core.SolverStats
+	var sum, profSum core.SolverStats
 	for _, u := range units {
 		sum.Add(u.stats)
+	}
+	prof := core.ProfileRules(rs)
+	for _, h := range prof.Rules {
+		profSum.Add(h.SolverStats)
+	}
+	if profSum != sum {
+		t.Errorf("hardness profile folds %s restarts=%d, the units sum to %s restarts=%d",
+			profSum, profSum.Restarts, sum, sum.Restarts)
 	}
 	// Queries and structural-hashing merges depend on the front end, not
 	// on the search.
@@ -157,6 +170,7 @@ func testReduceDBSearch(t *testing.T, prog *isle.Program, want map[string]int, w
 		t.Errorf("summed SAT work:\n  got  %s restarts=%d\n  want %s restarts=%d",
 			sum, sum.Restarts, wantStats, wantStats.Restarts)
 	}
+	return prof
 }
 
 func TestReduceDBSearchX64(t *testing.T) {
@@ -167,7 +181,7 @@ func TestReduceDBSearchX64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testReduceDBSearch(t, prog, map[string]int{
+	testReduceDBSearch(t, prog, nil, map[string]int{
 		"inapplicable": 19,
 		"success":      63,
 		"timeout":      2,
@@ -195,7 +209,7 @@ func TestReduceDBSearchAmodeCVE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	testReduceDBSearch(t, prog, map[string]int{
+	testReduceDBSearch(t, prog, nil, map[string]int{
 		"failure":      3,
 		"inapplicable": 19,
 		"success":      63,
@@ -208,4 +222,36 @@ func TestReduceDBSearchAmodeCVE(t *testing.T) {
 		ElimVars:     1161,
 		Subsumed:     418,
 	})
+}
+
+// TestReduceDBSearchAarch64 pins the aarch64 sweep with the custom
+// verification conditions, the one HARDNESS_pr10.json profiles: its
+// timeout tail is the nine div/rem/rotl rules.
+func TestReduceDBSearchAarch64(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-corpus sweep")
+	}
+	prog, err := corpus.LoadAarch64()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := testReduceDBSearch(t, prog, corpus.CustomVCs(), map[string]int{
+		"inapplicable": 108,
+		"success":      256,
+		"timeout":      17,
+	}, core.SolverStats{
+		Propagations: 7985284,
+		Conflicts:    36122,
+		Decisions:    299328,
+		Restarts:     180,
+		ElimVars:     302,
+	})
+	got := slices.Clone(prof.TimeoutRules)
+	want := []string{"urem_fits32", "srem_fits32", "udiv_fits32", "udiv_const_fits32",
+		"sdiv_fits32", "urem_64", "sdiv_const_fits32", "srem_64", "rotl_64"}
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Errorf("timeout rules: got %v, want %v", got, want)
+	}
 }

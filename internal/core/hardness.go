@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -32,21 +33,12 @@ type RuleHardness struct {
 	Cached       int `json:"cached,omitempty"`
 	Skipped      int `json:"skipped,omitempty"`
 
-	// SAT search cost summed over the rule's queries.
-	Propagations int64 `json:"propagations"`
-	Conflicts    int64 `json:"conflicts"`
-	Decisions    int64 `json:"decisions"`
-	Restarts     int64 `json:"restarts"`
-	Queries      int64 `json:"queries"`
+	// SolverStats is the SAT search and inprocessing work summed over
+	// the rule's queries.
+	SolverStats
 
 	// Escalations is the total timeout-ladder retries the rule consumed.
 	Escalations int `json:"escalations,omitempty"`
-
-	// Inprocessing / structural-hashing work.
-	ElimVars         int64 `json:"elim_vars,omitempty"`
-	Subsumed         int64 `json:"subsumed,omitempty"`
-	Vivified         int64 `json:"vivified,omitempty"`
-	StructHashMerged int64 `json:"structhash_merged,omitempty"`
 }
 
 // HardnessProfile is the sweep-level artifact: rules ranked hardest
@@ -88,15 +80,7 @@ func (p *HardnessProfile) AddRule(name string, insts []InstOutcome) {
 			h.Skipped++
 		}
 		h.Escalations += io.Escalations
-		h.Propagations += io.Stats.Propagations
-		h.Conflicts += io.Stats.Conflicts
-		h.Decisions += io.Stats.Decisions
-		h.Restarts += io.Stats.Restarts
-		h.Queries += io.Stats.Queries
-		h.ElimVars += io.Stats.ElimVars
-		h.Subsumed += io.Stats.Subsumed
-		h.Vivified += io.Stats.Vivified
-		h.StructHashMerged += io.Stats.StructHashMerged
+		h.Add(io.Stats)
 	}
 	p.Rules = append(p.Rules, h)
 	p.TotalWallNS += h.WallNS
@@ -178,7 +162,7 @@ func (p *HardnessProfile) WriteJSON(w io.Writer) error {
 
 // WriteJSONFile writes the profile atomically (temp + rename) to path.
 func (p *HardnessProfile) WriteJSONFile(path string) error {
-	tmp, err := os.CreateTemp(dirOfPath(path), ".hardness-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".hardness-*")
 	if err != nil {
 		return err
 	}
@@ -191,11 +175,4 @@ func (p *HardnessProfile) WriteJSONFile(path string) error {
 		return err
 	}
 	return os.Rename(tmp.Name(), path)
-}
-
-func dirOfPath(path string) string {
-	if i := strings.LastIndexByte(path, '/'); i > 0 {
-		return path[:i]
-	}
-	return "."
 }

@@ -42,18 +42,6 @@ func (t *Tracer) PhaseBreakdown() *PhaseBreakdown {
 	return pb
 }
 
-// PhaseTotals sums each phase across all scopes (the crocus-bench
-// report's "obs" section and the quick global view).
-func (pb *PhaseBreakdown) PhaseTotals() map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, tm := range pb.Totals {
-		for phase, d := range tm {
-			out[phase] += d
-		}
-	}
-	return out
-}
-
 // tableColumns is the preferred column order for the per-rule table;
 // phases seen in the data but not listed here are appended
 // alphabetically after these.
