@@ -12,9 +12,10 @@
 // same shape).
 //
 // SIGINT/SIGTERM cancel the running experiment cooperatively: whatever
-// completed is flushed as a clearly-marked PARTIAL report (with -cache-dir,
-// every completed verification unit is already persisted, so the next run
-// resumes from cache hits) and the process exits 130.
+// completed is flushed as a clearly-marked PARTIAL report and the process
+// exits 130. With -cache-dir, every completed verification unit is
+// already persisted, so rerunning the same command after Ctrl-C or
+// kill -9 resumes from cache hits.
 package main
 
 import (
@@ -35,12 +36,15 @@ import (
 	"crocus/internal/faultinject"
 	"crocus/internal/obs"
 	"crocus/internal/obs/promtext"
-	"crocus/internal/vcache"
 )
 
-// parseBudgets parses the -retry-budgets value: a comma-separated list
-// of propagation budgets forming the timeout-escalation ladder.
-func parseBudgets(s string) ([]int64, error) {
+// parseBudgets checks the -propagation-budget value and parses the
+// -retry-budgets value: a comma-separated list of propagation budgets
+// forming the timeout-escalation ladder. Budgets are never negative.
+func parseBudgets(base int64, s string) ([]int64, error) {
+	if base < 0 {
+		return nil, fmt.Errorf("bad -propagation-budget %d (want >= 0; 0 = unlimited)", base)
+	}
 	if s == "" {
 		return nil, nil
 	}
@@ -61,12 +65,11 @@ func main() {
 	timeout := flag.Duration("timeout", 5*time.Second, "per-unit solver deadline")
 	distinct := flag.Bool("distinct", false, "run the distinct-models check during table1")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent verification workers during table1 (1 = one worker, <= 0 = all CPUs)")
-	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
+	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification; a rerun after a kill resumes where it stopped)")
 	budget := flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
 	retryBudgets := flag.String("retry-budgets", "", "timeout-escalation ladder: comma-separated propagation budgets to retry timed-out units at (ascending; 0 = unlimited final rung)")
 	traceDir := flag.String("trace-dir", "", "write one Chrome trace-event JSON artifact per experiment (TRACE_<exp>.json) under this directory")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
-	journal := flag.Bool("journal", false, "record completed table1 verification units in a sweep journal under -cache-dir so a killed run resumes where it died (requires -cache-dir)")
 	faults := flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
 	profileRules := flag.String("profile-rules", "", "write a rule-hardness profile of the table1 sweep (per-rule wall time, SAT statistics, escalations, ranked by cost) as JSON to this file and print the top rules")
 	profileTop := flag.Int("profile-top", 15, "rows in the printed rule-hardness table (-profile-rules)")
@@ -87,7 +90,7 @@ func main() {
 		}
 	}
 
-	ladder, err := parseBudgets(*retryBudgets)
+	ladder, err := parseBudgets(*budget, *retryBudgets)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crocus-eval:", err)
 		os.Exit(1)
@@ -108,29 +111,6 @@ func main() {
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "crocus-eval:", err)
 		os.Exit(1)
-	}
-
-	// The sweep journal scopes to the table1 sweep (the long-running
-	// experiment a kill most plausibly interrupts); its identity covers
-	// every outcome-affecting knob so a reconfigured run starts fresh.
-	var sweepJournal *vcache.Journal
-	if *journal {
-		if *cacheDir == "" {
-			fail(fmt.Errorf("-journal requires -cache-dir"))
-		}
-		sweepID := vcache.Fingerprint("crocus-eval-sweep-1", []string{
-			fmt.Sprintf("timeout=%s distinct=%t budget=%d ladder=%v",
-				*timeout, *distinct, *budget, ladder),
-		})
-		j, jerr := vcache.OpenJournal(*cacheDir, sweepID)
-		if jerr != nil {
-			fail(jerr)
-		}
-		sweepJournal = j
-		cfg.Journal = j
-		if n := j.Resumed(); n > 0 {
-			fmt.Printf("journal: resuming sweep, %d units already complete\n", n)
-		}
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -238,16 +218,6 @@ func main() {
 				fmt.Println(stats)
 			}
 		})
-	}
-	if sweepJournal != nil {
-		if !interrupted {
-			if err := sweepJournal.Complete(); err != nil {
-				fmt.Fprintln(os.Stderr, "crocus-eval: journal:", err)
-			}
-		}
-		if err := sweepJournal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "crocus-eval: journal:", err)
-		}
 	}
 	if faultinject.Enabled() {
 		logger.Info(faultinject.Summary())

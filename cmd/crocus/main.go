@@ -7,8 +7,7 @@
 //
 //	crocus [-timeout 5s] [-rule name] [-distinct] [-parallel N] [-stats]
 //	       [-cache-dir DIR]
-//	       [-shard i/n] [-cache-merge DIR,DIR...]
-//	       [-journal] [-faults SPEC]
+//	       [-shard i/n] [-cache-merge DIR,DIR...] [-faults SPEC]
 //	       [-server URL] [-server-timeout D] [-server-retries N] [-hedge-after D]
 //	       [-trace FILE] [-trace-jsonl FILE] [-metrics] [-pprof-addr ADDR]
 //	       [-corpus aarch64|x64|midend|bug:<id>] [file.isle ...]
@@ -17,7 +16,9 @@
 // verified; otherwise the selected embedded corpus is used. With
 // -cache-dir, verification is incremental: results are persisted under
 // the directory keyed by a content fingerprint of each query, so an
-// unchanged rule is replayed instead of re-solved on the next run.
+// unchanged rule is replayed instead of re-solved on the next run. Each
+// unit's result is on disk as soon as the unit finishes, so rerunning the
+// same command after Ctrl-C or kill -9 resumes where the sweep stopped.
 //
 // Each verification unit — one rule at one type instantiation — solves
 // all of its queries on one SMT session of its own (word-level
@@ -27,7 +28,7 @@
 // benchmark is perfbench (bash perfbench/run.sh).
 //
 // With -server, the run is verified by the daemon, and a flag only a
-// local run reads (-parallel, -cache-dir, -shard, -journal, -trace,
+// local run reads (-parallel, -cache-dir, -shard, -trace,
 // -profile-rules, ...) is an error rather than silently ignored.
 package main
 
@@ -52,9 +53,13 @@ import (
 	"crocus/internal/vcache"
 )
 
-// parseBudgets parses the -retry-budgets value: a comma-separated list
-// of propagation budgets forming the timeout-escalation ladder.
-func parseBudgets(s string) ([]int64, error) {
+// parseBudgets checks the -propagation-budget value and parses the
+// -retry-budgets value: a comma-separated list of propagation budgets
+// forming the timeout-escalation ladder. Budgets are never negative.
+func parseBudgets(base int64, s string) ([]int64, error) {
+	if base < 0 {
+		return nil, fmt.Errorf("bad -propagation-budget %d (want >= 0; 0 = unlimited)", base)
+	}
 	if s == "" {
 		return nil, nil
 	}
@@ -88,21 +93,19 @@ func parseShard(s string) (int, int, error) {
 	return idx, cnt, nil
 }
 
-// localOnlyFlags are the flags the -server client path never reads,
-// each mapped to a note its rejection message carries.
-var localOnlyFlags = map[string]string{
-	"shard":         "",
-	"journal":       " (the daemon's vcache already persists results)",
-	"parallel":      "",
-	"cache-dir":     "",
-	"overlap":       "",
-	"inject-panic":  "",
-	"profile-rules": "",
-	"profile-top":   "",
-	"trace":         "",
-	"trace-jsonl":   "",
-	"metrics":       "",
-	"pprof-addr":    "",
+// localOnlyFlags are the flags the -server client path never reads.
+var localOnlyFlags = map[string]bool{
+	"shard":         true,
+	"parallel":      true,
+	"cache-dir":     true,
+	"overlap":       true,
+	"inject-panic":  true,
+	"profile-rules": true,
+	"profile-top":   true,
+	"trace":         true,
+	"trace-jsonl":   true,
+	"metrics":       true,
+	"pprof-addr":    true,
 }
 
 // checkClientFlags rejects a -server run that sets a local-only flag,
@@ -110,8 +113,8 @@ var localOnlyFlags = map[string]string{
 func checkClientFlags(fs *flag.FlagSet) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
-		if note, ok := localOnlyFlags[f.Name]; ok && err == nil {
-			err = fmt.Errorf("-%s applies to local sweeps, not -server runs%s", f.Name, note)
+		if localOnlyFlags[f.Name] && err == nil {
+			err = fmt.Errorf("-%s applies to local sweeps, not -server runs", f.Name)
 		}
 	})
 	return err
@@ -167,7 +170,6 @@ var (
 	server        = flag.String("server", "", "submit the run to a crocus-serve daemon at this base URL (e.g. http://localhost:8742) instead of verifying locally")
 	shard         = flag.String("shard", "", "verify only one shard of the corpus's verification units, as i/n (e.g. 0/2): units are partitioned by content fingerprint, so n processes with distinct i cover the corpus exactly once; combine with per-shard -cache-dir and -cache-merge")
 	cacheMerge    = flag.String("cache-merge", "", "merge mode: union the comma-separated source cache directories into -cache-dir (conflict-checked) and exit without verifying")
-	journal       = flag.Bool("journal", false, "record completed verification units in a sweep journal under -cache-dir so a killed sweep resumes where it died (requires -cache-dir)")
 	faults        = flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
 	serverTimeout = flag.Duration("server-timeout", 2*time.Minute, "per-attempt HTTP timeout for -server requests")
 	serverRetries = flag.Int("server-retries", 3, "retries after the first -server attempt on 429/5xx/connection errors (capped exponential backoff with jitter, honoring Retry-After; 0 disables)")
@@ -210,14 +212,14 @@ func main() {
 	if *cacheMerge != "" {
 		os.Exit(runCacheMerge(*cacheDir, *cacheMerge))
 	}
+	ladder, err := parseBudgets(*budget, *retryBudgets)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crocus:", err)
+		os.Exit(1)
+	}
 
 	if *server != "" {
 		if err := checkClientFlags(flag.CommandLine); err != nil {
-			fmt.Fprintln(os.Stderr, "crocus:", err)
-			os.Exit(1)
-		}
-		ladder, err := parseBudgets(*retryBudgets)
-		if err != nil {
 			fmt.Fprintln(os.Stderr, "crocus:", err)
 			os.Exit(1)
 		}
@@ -261,17 +263,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "crocus:", err)
 		os.Exit(1)
 	}
-	ladder, err := parseBudgets(*retryBudgets)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crocus:", err)
-		os.Exit(1)
+
+	// A cache directory that cannot be opened disables caching for the
+	// run, never verification.
+	var cache *vcache.Cache
+	if *cacheDir != "" && !*overlap {
+		if cache, err = vcache.Open(*cacheDir); err != nil {
+			fmt.Fprintln(os.Stderr, "crocus: cache disabled:", err)
+		}
 	}
 
 	opts := crocus.Options{
 		Timeout:           *timeout,
 		DistinctModels:    *distinct,
 		Parallelism:       *parallel,
-		CacheDir:          *cacheDir,
+		Cache:             cache,
 		PropagationBudget: *budget,
 		RetryBudgets:      ladder,
 		ShardIndex:        shardIdx,
@@ -289,36 +295,6 @@ func main() {
 			Condition: func(_ *crocus.VCContext) (id crocus.TermID, err error) {
 				panic(fmt.Sprintf("injected fault (-inject-panic %s)", name))
 			},
-		}
-	}
-
-	// The sweep journal makes a killed run resumable: completed unit
-	// fingerprints are logged under the cache dir, and a rerun with the
-	// same sweep identity (corpus, files, rule filter, and every
-	// outcome-affecting option) skips them — including cached timeouts
-	// the staleness policy would otherwise re-escalate.
-	var sweepJournal *vcache.Journal
-	if *journal && !*overlap {
-		if *cacheDir == "" {
-			fmt.Fprintln(os.Stderr, "crocus: -journal requires -cache-dir")
-			os.Exit(1)
-		}
-		sweepID := vcache.Fingerprint("crocus-sweep-1", []string{
-			*corpusName,
-			strings.Join(flag.Args(), "\x00"),
-			*ruleName,
-			fmt.Sprintf("timeout=%s distinct=%t custom=%t budget=%d ladder=%v shard=%d/%d",
-				*timeout, *distinct, *custom, *budget, ladder, shardIdx, shardCnt),
-		})
-		j, err := vcache.OpenJournal(*cacheDir, sweepID)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "crocus:", err)
-			os.Exit(1)
-		}
-		sweepJournal = j
-		opts.Journal = j
-		if n := j.Resumed(); n > 0 {
-			fmt.Printf("journal: resuming sweep, %d units already complete\n", n)
 		}
 	}
 
@@ -409,30 +385,13 @@ func main() {
 			logger.Warn("hardness profile write failed", slog.String("file", *profileRules), slog.Any("err", err))
 		}
 	}
-	if *cacheDir != "" {
-		if err := v.CacheErr(); err != nil {
-			fmt.Fprintln(os.Stderr, "crocus: cache disabled:", err)
-		} else {
-			fmt.Println(v.CacheStats())
-		}
-		if err := v.CloseCache(); err != nil {
+	if cache != nil {
+		fmt.Println(cache.Stats())
+		if err := cache.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "crocus: cache flush:", err)
 			if exit == 0 {
 				exit = 1
 			}
-		}
-	}
-	if sweepJournal != nil {
-		// An uninterrupted sweep is complete (failed verdicts are still
-		// verdicts): mark it so the next run starts fresh. An interrupted
-		// one leaves the journal open-ended for resume.
-		if !interrupted {
-			if err := sweepJournal.Complete(); err != nil {
-				fmt.Fprintln(os.Stderr, "crocus: journal:", err)
-			}
-		}
-		if err := sweepJournal.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "crocus: journal:", err)
 		}
 	}
 	if interrupted {

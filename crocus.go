@@ -68,9 +68,11 @@ type (
 	// PanicError is the diagnostics bundle carried by OutcomeError results
 	// when a panic in the solve pipeline was contained.
 	PanicError = core.PanicError
-	// CacheStats are the incremental-verification cache's per-run probe
-	// counters (hits, misses, stale timeouts, solve time saved), returned
-	// by Verifier.CacheStats when Options.CacheDir is set.
+	// Cache is the incremental-verification result store: set an opened
+	// one (OpenCache) as Options.Cache, and Close it when done.
+	Cache = vcache.Cache
+	// CacheStats are the cache's per-run probe counters (hits, misses,
+	// stale timeouts, solve time saved), returned by Cache.Stats.
 	CacheStats = vcache.Stats
 )
 
@@ -127,6 +129,12 @@ func ParseFiles(names []string, srcs []string) (*Program, error) {
 
 // NewVerifier builds a verifier over a typechecked program.
 func NewVerifier(prog *Program, opts Options) *Verifier { return core.New(prog, opts) }
+
+// OpenCache opens (or creates) the persistent result cache under dir.
+// Each unit's result is on disk as soon as the unit finishes, so a rerun
+// over the same directory replays what an earlier, even killed, run
+// finished.
+func OpenCache(dir string) (*Cache, error) { return vcache.Open(dir) }
 
 // ProfileRules folds a sweep's rule results into a ranked hardness
 // profile (timeout rules first, then by wall time) naming the rules

@@ -63,6 +63,32 @@ func TestPublicAPIVerify(t *testing.T) {
 	}
 }
 
+// TestPublicAPICache: a library user caches through OpenCache and
+// Options.Cache, and a second run over the same directory replays every
+// unit.
+func TestPublicAPICache(t *testing.T) {
+	prog, err := ParseProgram(map[string]string{"mini.isle": miniRules})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for run, want := range []CacheStats{{Misses: 2}, {Hits: 2}} {
+		cache, err := OpenCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewVerifier(prog, Options{Timeout: 30 * time.Second, Cache: cache}).VerifyAll(); err != nil {
+			t.Fatal(err)
+		}
+		if s := cache.Stats(); s.Hits != want.Hits || s.Misses != want.Misses || s.Stale != 0 {
+			t.Fatalf("run %d: %v, want %d hits and %d misses", run, s, want.Hits, want.Misses)
+		}
+		if err := cache.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestPublicAPICorpusLoaders(t *testing.T) {
 	prog, err := LoadAarch64Corpus()
 	if err != nil {

@@ -201,14 +201,13 @@ const (
 	chaosChildDirEnv    = "CROCUS_CHAOS_CHILD_DIR"
 	chaosChildFaultsEnv = "CROCUS_CHAOS_CHILD_FAULTS"
 	chaosChildOutName   = "verdicts.txt"
-	chaosSweepID        = "chaos-kill-resume-sweep"
 )
 
 // TestChaosChild is the kill/resume loop's subject process, not a test
 // in its own right: the parent re-executes the test binary with the env
-// set, SIGKILL faults armed at the cache/journal append seams. It runs a
-// journaled, cached sweep and — only on full completion — writes its
-// verdicts and marks the journal complete.
+// set, SIGKILL faults armed at the cache append seam. It prints how many
+// units the cache already holds, runs a cached sweep and — only on full
+// completion — writes its verdicts and prints the cache's probe counts.
 func TestChaosChild(t *testing.T) {
 	dir := os.Getenv(chaosChildDirEnv)
 	if dir == "" {
@@ -224,15 +223,10 @@ func TestChaosChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := vcache.OpenJournal(dir, chaosSweepID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fmt.Printf("chaos-child: resumed=%d\n", journal.Resumed())
+	fmt.Printf("chaos-child: resumed=%d\n", cache.Len())
 
 	opts := chaosOpts()
 	opts.Cache = cache
-	opts.Journal = journal
 	verdicts := sweep(t, corpus.LoadX64, opts)
 
 	var lines []string
@@ -243,30 +237,28 @@ func TestChaosChild(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, chaosChildOutName), []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := journal.Complete(); err != nil {
-		t.Fatal(err)
-	}
-	if err := journal.Close(); err != nil {
-		t.Fatal(err)
-	}
+	fmt.Printf("chaos-child: %s\n", cache.Stats())
 	if err := cache.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestKillResumeVerify is the crash-resume chaos loop: run the child
-// sweep with SIGKILL faults armed at the cache and journal append seams
-// (the worst moments to die — mid-durability-write), let it be killed,
-// and rerun until one attempt completes. The completed run's verdicts
-// must match a clean in-process sweep exactly, and the journal must show
-// the later attempts actually resumed rather than starting over.
+// sweep with SIGKILL faults armed at the cache append seam (the worst
+// moment to die — mid-durability-write), let it be killed, and rerun on
+// the same directory until one attempt completes. The cache is the only
+// record of progress: the completed run's verdicts must match a clean
+// in-process sweep exactly, some attempt must have opened on units a
+// killed one left behind, and the completing attempt must replay every
+// unit it found on disk — no stale entry, no re-solve.
 func TestKillResumeVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill/resume loop")
 	}
 	dir := t.TempDir()
 
-	kills, resumedMax := 0, 0
+	kills, resumed, resumedMax := 0, 0, 0
+	var final vcache.Stats
 	completed := false
 	const maxAttempts = 40
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -274,26 +266,25 @@ func TestKillResumeVerify(t *testing.T) {
 		cmd.Env = append(os.Environ(),
 			chaosChildDirEnv+"="+dir,
 			// Seed varies per attempt so the deterministic kill point
-			// moves. Over x64's 84 units an attempt dies after ~16 fresh
+			// moves. Over x64's 84 units an attempt dies after ~25 fresh
 			// appends on average, so early attempts are near-certain to be
-			// killed mid-durability-write while resumed units (cache hits,
-			// deduped journal records) hit no fault sites — progress is
-			// monotone and the loop converges.
-			fmt.Sprintf("%s=vcache.append=kill:0.04,journal.append=kill:0.02,seed=%d", chaosChildFaultsEnv, attempt),
+			// killed mid-durability-write while resumed units (cache hits)
+			// hit no fault site — progress is monotone and the loop
+			// converges.
+			fmt.Sprintf("%s=vcache.append=kill:0.04,seed=%d", chaosChildFaultsEnv, attempt),
 		)
 		out, err := cmd.CombinedOutput()
 		for _, line := range strings.Split(string(out), "\n") {
-			if strings.HasPrefix(line, "chaos-child: resumed=") {
-				var n int
-				fmt.Sscanf(line, "chaos-child: resumed=%d", &n)
-				if n > resumedMax {
-					resumedMax = n
-				}
+			if _, err := fmt.Sscanf(line, "chaos-child: resumed=%d", &resumed); err == nil && resumed > resumedMax {
+				resumedMax = resumed
 			}
+			fmt.Sscanf(line, "chaos-child: cache: %d hits, %d misses, %d stale",
+				&final.Hits, &final.Misses, &final.Stale)
 		}
 		if err == nil {
 			completed = true
-			t.Logf("attempt %d completed after %d kills (max resumed=%d)", attempt, kills, resumedMax)
+			t.Logf("attempt %d completed after %d kills (resumed=%d, max resumed=%d, %s)",
+				attempt, kills, resumed, resumedMax, final)
 			break
 		}
 		ee, ok := err.(*exec.ExitError)
@@ -314,11 +305,15 @@ func TestKillResumeVerify(t *testing.T) {
 		t.Fatal("no attempt was killed; the chaos loop is vacuous")
 	}
 	if resumedMax == 0 {
-		t.Fatal("no attempt resumed prior progress; the journal never carried state across a kill")
+		t.Fatal("no attempt opened on prior progress; the cache never carried state across a kill")
+	}
+	if final.Stale != 0 || final.Hits < uint64(resumed) {
+		t.Fatalf("completing attempt found %d units on disk but probed %s; resume re-solved finished units",
+			resumed, final)
 	}
 
-	// The survivor's verdicts — accumulated across killed attempts via
-	// cache + journal — must match a clean sweep exactly.
+	// The survivor's verdicts — accumulated across killed attempts in
+	// the cache alone — must match a clean sweep exactly.
 	b, err := os.ReadFile(filepath.Join(dir, chaosChildOutName))
 	if err != nil {
 		t.Fatalf("completed child left no verdict file: %v", err)
@@ -340,15 +335,5 @@ func TestKillResumeVerify(t *testing.T) {
 		if got[unit] != outcome {
 			t.Fatalf("unit %q: chaos %q, clean %q — kill/resume changed a verdict", unit, got[unit], outcome)
 		}
-	}
-
-	// And the journal records completion, so yet another run starts fresh.
-	j, err := vcache.OpenJournal(dir, chaosSweepID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	if j.Resumed() != 0 {
-		t.Fatalf("journal resumed %d units after a completed sweep; Complete marker lost", j.Resumed())
 	}
 }

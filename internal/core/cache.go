@@ -131,48 +131,6 @@ func (v *Verifier) fingerprint(preps []*prepared) string {
 	return vcache.Fingerprint(EngineVersion, sections)
 }
 
-// cacheStore returns the verifier's result cache: an injected
-// Options.Cache, a store lazily opened from Options.CacheDir, or nil when
-// caching is disabled (or the directory could not be opened — caching is
-// best-effort and never fails verification; see CacheErr).
-func (v *Verifier) cacheStore() *vcache.Cache {
-	if v.Opts.Cache != nil {
-		return v.Opts.Cache
-	}
-	if v.Opts.CacheDir == "" {
-		return nil
-	}
-	v.cacheOnce.Do(func() {
-		v.cache, v.cacheErr = vcache.Open(v.Opts.CacheDir)
-	})
-	return v.cache
-}
-
-// CacheErr reports a failure opening Options.CacheDir (caching is then
-// disabled for the run).
-func (v *Verifier) CacheErr() error { return v.cacheErr }
-
-// CloseCache flushes and closes the result cache this verifier opened
-// from Options.CacheDir, returning the flush error instead of dropping
-// it (the shutdown path of both CLIs and the crocus-serve drain call
-// it). An injected Options.Cache is left open — its owner controls its
-// lifetime — and a verifier that never opened a cache returns nil.
-func (v *Verifier) CloseCache() error {
-	if v.Opts.Cache != nil || v.cache == nil {
-		return nil
-	}
-	return v.cache.Close()
-}
-
-// CacheStats returns the run's cache probe counters (zero when caching is
-// disabled).
-func (v *Verifier) CacheStats() vcache.Stats {
-	if c := v.cacheStore(); c != nil {
-		return c.Stats()
-	}
-	return vcache.Stats{}
-}
-
 // recordOutcome stores a freshly solved unit in the cache. budget is the
 // final attempt's propagation budget (after any escalation-ladder
 // retries), recorded on timeout entries so LookupBudget's staleness

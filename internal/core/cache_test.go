@@ -182,24 +182,76 @@ func TestCacheSingleRuleInvalidation(t *testing.T) {
 	}
 }
 
+// hardMulRules is the hard_mul pattern from TestVerifyTimeout
+// (distributivity over a 64-bit multiplier), which no budget or deadline
+// in these tests decides.
+const hardMulRules = `
+	(decl imul (Value Value) Inst)
+	(spec (imul x y) (provide (= result (+ (* x y) x))))
+	(instantiate imul ((args (bv 64) (bv 64)) (ret (bv 64))))
+	(decl a64_madd_hard (Type Reg Reg) Reg)
+	(spec (a64_madd_hard ty x y) (provide (= result (* x (+ y #x0000000000000001)))))
+	(rule hard_mul
+		(lower (has_type ty (imul x y)))
+		(a64_madd_hard ty x y))`
+
+// TestCacheSameSettingsRerunReplaysEveryUnit pins what makes the cache a
+// sweep's record of progress: a rerun with identical Options over the
+// same store — a fresh Verifier on a reopened directory, as after a kill
+// — replays every unit with no miss and no stale entry, and returns the
+// verdicts of the first run. The hard_mul unit times out in every case,
+// so each case checks that a timeout cached under these settings is not
+// stale under the same settings.
+func TestCacheSameSettingsRerunReplaysEveryUnit(t *testing.T) {
+	rules := hardMulRules + cacheRules
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"base budget", Options{PropagationBudget: 2000, Timeout: time.Minute}},
+		{"ladder without a 0 rung", Options{PropagationBudget: 2000, RetryBudgets: []int64{4000, 8000}, Timeout: time.Minute}},
+		{"ladder ending in a 0 rung", Options{PropagationBudget: 2000, RetryBudgets: []int64{4000, 0}, Timeout: 200 * time.Millisecond}},
+		{"deadline only", Options{Timeout: 200 * time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			run := func() ([]*RuleResult, vcache.Stats) {
+				cache := openCache(t, dir)
+				opts := tc.opts
+				opts.Cache = cache
+				rs, err := buildVerifier(t, rules, opts).VerifyAll()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cache.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return rs, cache.Stats()
+			}
+			first, cold := run()
+			if first[0].Rule.Name != "hard_mul" || first[0].Outcome() != OutcomeTimeout {
+				t.Fatalf("hard_mul: %v, want a timeout", first[0].Outcome())
+			}
+			again, warm := run()
+			if probes := cold.Hits + cold.Misses; warm.Misses != 0 || warm.Stale != 0 || warm.Hits != probes {
+				t.Fatalf("rerun probed %v, want %d hits and nothing else", warm, probes)
+			}
+			if got, want := flatten(t, again), flatten(t, first); !reflect.DeepEqual(got, want) {
+				t.Fatalf("rerun verdicts differ:\n%+v\n%+v", got, want)
+			}
+		})
+	}
+}
+
 // TestCacheTimeoutRetriedUnderLongerDeadline: a timeout cached under one
 // deadline is replayed for equal-or-shorter deadlines but stale — and
 // re-solved — once a longer deadline is requested.
 func TestCacheTimeoutRetriedUnderLongerDeadline(t *testing.T) {
-	// The hard_mul pattern from TestVerifyTimeout (distributivity over a
-	// 64-bit multiplier): a tiny propagation budget makes every solve end
-	// in a timeout quickly. The budget is part of the fingerprint (same
+	// A tiny propagation budget makes every solve of hardMulRules end in
+	// a timeout quickly. The budget is part of the fingerprint (same
 	// across runs here); the deadline is not — it is tracked via
 	// staleness.
-	rules := `
-		(decl imul (Value Value) Inst)
-		(spec (imul x y) (provide (= result (+ (* x y) x))))
-		(instantiate imul ((args (bv 64) (bv 64)) (ret (bv 64))))
-		(decl a64_madd_hard (Type Reg Reg) Reg)
-		(spec (a64_madd_hard ty x y) (provide (= result (* x (+ y #x0000000000000001)))))
-		(rule hard_mul
-			(lower (has_type ty (imul x y)))
-			(a64_madd_hard ty x y))`
+	rules := hardMulRules
 	cache := vcache.NewMemory()
 	opts := func(d time.Duration) Options {
 		return Options{PropagationBudget: 2000, Timeout: d, Cache: cache}
@@ -242,6 +294,17 @@ func TestCacheTimeoutRetriedUnderLongerDeadline(t *testing.T) {
 	}
 }
 
+// openCache opens the disk store under dir for the rest of the test.
+func openCache(t *testing.T, dir string) *vcache.Cache {
+	t.Helper()
+	c, err := vcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
 func mustFingerprint(t *testing.T, v *Verifier, name string) string {
 	t.Helper()
 	for _, r := range v.Prog.Rules {
@@ -262,23 +325,6 @@ func mustFingerprint(t *testing.T, v *Verifier, name string) string {
 	return ""
 }
 
-// TestCacheDirOpenFailureDegradesGracefully: an unusable cache directory
-// disables caching (CacheErr reports it) but never fails verification.
-func TestCacheDirOpenFailureDegradesGracefully(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	v := buildVerifier(t, cacheRules, Options{CacheDir: filepath.Join(file, "sub")})
-	rr := verifyOnly(t, v, "c_add")
-	if rr.Outcome() != OutcomeSuccess {
-		t.Fatalf("verification should succeed without cache: %v", rr.Outcome())
-	}
-	if v.CacheErr() == nil {
-		t.Fatal("CacheErr should report the unopenable directory")
-	}
-}
-
 // TestCacheCorruptedStoreStillVerifies: garbage in the store file is
 // skipped on open; verification proceeds and repopulates it.
 func TestCacheCorruptedStoreStillVerifies(t *testing.T) {
@@ -287,15 +333,17 @@ func TestCacheCorruptedStoreStillVerifies(t *testing.T) {
 		[]byte("garbage\n{\"key\":\"zz\"}\ntruncated{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	v := buildVerifier(t, cacheRules, Options{CacheDir: dir})
+	cache, err := vcache.Open(dir)
+	if err != nil {
+		t.Fatalf("corrupted store should not fail to open: %v", err)
+	}
+	defer cache.Close()
+	v := buildVerifier(t, cacheRules, Options{Cache: cache})
 	rr := verifyOnly(t, v, "c_add")
 	if rr.Outcome() != OutcomeSuccess {
 		t.Fatalf("outcome = %v", rr.Outcome())
 	}
-	if err := v.CacheErr(); err != nil {
-		t.Fatalf("corrupted store should not disable caching: %v", err)
-	}
-	if s := v.CacheStats(); s.Misses == 0 {
+	if s := cache.Stats(); s.Misses == 0 {
 		t.Fatalf("expected misses against the healed store: %+v", s)
 	}
 }
@@ -307,12 +355,16 @@ func TestCacheCorruptedStoreStillVerifies(t *testing.T) {
 // orphaned generation stays in the JSONL file alongside the fresh one.
 func TestEngineSaltBumpOrphansDiskCache(t *testing.T) {
 	dir := t.TempDir()
-	warm := buildVerifier(t, cacheRules, Options{CacheDir: dir})
+	warmCache := openCache(t, dir)
+	warm := buildVerifier(t, cacheRules, Options{Cache: warmCache})
 	base, err := warm.VerifyAll()
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := flatten(t, base)
+	if err := warmCache.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Re-key every stored entry as an older engine would have: same
 	// content sections, different salt, so no current fingerprint can
@@ -345,7 +397,8 @@ func TestEngineSaltBumpOrphansDiskCache(t *testing.T) {
 	}
 
 	// The "bumped" engine finds only orphans: all misses, same verdicts.
-	bumped := buildVerifier(t, cacheRules, Options{CacheDir: dir})
+	bumpedCache := openCache(t, dir)
+	bumped := buildVerifier(t, cacheRules, Options{Cache: bumpedCache})
 	res, err := bumped.VerifyAll()
 	if err != nil {
 		t.Fatal(err)
@@ -353,7 +406,7 @@ func TestEngineSaltBumpOrphansDiskCache(t *testing.T) {
 	if got := flatten(t, res); !reflect.DeepEqual(got, want) {
 		t.Fatalf("re-solve after salt bump differs:\n%+v\n%+v", got, want)
 	}
-	s := bumped.CacheStats()
+	s := bumpedCache.Stats()
 	if s.Hits != 0 {
 		t.Fatalf("stale-salt entries were trusted: %+v", s)
 	}

@@ -51,7 +51,7 @@ type HardnessProfile struct {
 	TotalWallNS int64          `json:"total_wall_ns"`
 	TotalInsts  int            `json:"total_insts"`
 	// TimeoutRules lists the rules with at least one timed-out
-	// instantiation, hardest first — the tail open item #1 attacks next.
+	// instantiation, hardest first — the tail open item 5 attacks next.
 	TimeoutRules []string `json:"timeout_rules"`
 }
 

@@ -170,7 +170,7 @@ func TestCacheProbeMetrics(t *testing.T) {
 		v := buildVerifier(t, `
 			(rule iadd_base
 				(lower (has_type ty (iadd x y)))
-				(a64_add ty x y))`, Options{CacheDir: dir})
+				(a64_add ty x y))`, Options{Cache: openCache(t, dir)})
 		if _, err := v.VerifyAllContext(obs.WithTracer(context.Background(), tr)); err != nil {
 			t.Fatal(err)
 		}

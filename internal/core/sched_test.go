@@ -220,7 +220,7 @@ func TestShardMergeReplayEquivalence(t *testing.T) {
 	owned := 0
 	for i, cdir := range shardDirs {
 		opts := base
-		opts.CacheDir = cdir
+		opts.Cache = openCache(t, cdir)
 		opts.ShardIndex = i
 		opts.ShardCount = 2
 		v := buildVerifier(t, faultRules, opts)
@@ -231,7 +231,7 @@ func TestShardMergeReplayEquivalence(t *testing.T) {
 		for _, rr := range rs {
 			owned += len(rr.Insts)
 		}
-		if err := v.CloseCache(); err != nil {
+		if err := opts.Cache.Close(); err != nil {
 			t.Fatalf("shard %d cache close: %v", i, err)
 		}
 	}
@@ -268,13 +268,13 @@ func TestShardMergeReplayEquivalence(t *testing.T) {
 	}
 
 	opts := base
-	opts.CacheDir = merged
+	opts.Cache = openCache(t, merged)
 	replay := buildVerifier(t, faultRules, opts)
 	got, err := replay.VerifyAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := replay.CacheStats(); st.Misses != 0 {
+	if st := opts.Cache.Stats(); st.Misses != 0 {
 		t.Errorf("replay missed the merged cache %d times; the union is incomplete", st.Misses)
 	}
 	if len(got) != len(want) {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"crocus/internal/isle"
@@ -100,23 +99,13 @@ type Options struct {
 	// and the daemon normalize values <= 0 to runtime.NumCPU() before
 	// constructing Options.
 	Parallelism int
-	// CacheDir enables the incremental-verification result cache
+	// Cache enables the incremental-verification result cache
 	// (internal/vcache): verification units whose content fingerprint is
 	// already stored are replayed instead of re-solved, and fresh results
-	// are persisted under this directory. Empty = no caching.
-	CacheDir string
-	// Cache injects an already-open result cache, e.g. to share one store
-	// between several verifiers in a run. Takes precedence over CacheDir.
+	// are written through to the store. nil = no caching. The store's
+	// lifetime belongs to the caller (vcache.Open, then Close), so one
+	// store can serve several verifiers in a run.
 	Cache *vcache.Cache
-	// Journal, when set together with a cache, makes the sweep
-	// crash-resumable: every completed unit's fingerprint is recorded
-	// (after its outcome is durable in the cache), and a unit the journal
-	// already holds is replayed from the cache outright — including cached
-	// timeouts the staleness policy would otherwise re-escalate. A killed
-	// process reopened on the same journal resumes where it died. The
-	// journal's lifetime belongs to the caller (the CLIs open it from
-	// -journal and Complete/Close it at sweep end).
-	Journal *vcache.Journal
 	// Scheduler injects a shared work-stealing pool to run verification
 	// units on instead of a per-sweep transient pool — long-running
 	// hosts (crocus-serve) size one pool at admission capacity and
@@ -143,7 +132,7 @@ type Options struct {
 	// unit is foreign are omitted from sweeps. Units that produce no
 	// fingerprint (zero type assignments) are solved by every shard —
 	// they cost only monomorphization. Run one process per shard with
-	// separate CacheDirs, union them with vcache.Merge (crocus
+	// separate caches, union them with vcache.Merge (crocus
 	// -cache-merge), and replay the full corpus against the merged cache
 	// to get verdicts byte-identical to a single-process run.
 	ShardIndex int
@@ -155,10 +144,6 @@ type Options struct {
 type Verifier struct {
 	Prog *isle.Program
 	Opts Options
-
-	cacheOnce sync.Once
-	cache     *vcache.Cache
-	cacheErr  error
 }
 
 // New creates a Verifier over a typechecked program.
@@ -447,10 +432,10 @@ func (v *Verifier) unitConfig(ctx context.Context, budget int64) smt.Config {
 // instantiation: monomorphize, elaborate, applicability query (Eq. 1),
 // optional distinct-models check, and equivalence query (Eq. 2/3).
 //
-// When a result cache is configured (Options.CacheDir / Options.Cache),
-// the prepared queries are fingerprinted first and a stored verdict for
-// the same content is replayed instead of solved; fresh verdicts are
-// recorded afterwards. Cached timeouts are retried when the current
+// When a result cache is configured (Options.Cache), the prepared
+// queries are fingerprinted first and a stored verdict for the same
+// content is replayed instead of solved; fresh verdicts are recorded
+// afterwards. Cached timeouts are retried when the current
 // Options.Timeout (or escalation-ladder budget) is more generous than
 // the one they were tried under.
 func (v *Verifier) VerifyInstantiation(rule *isle.Rule, sig *isle.Sig) (*InstOutcome, error) {
@@ -521,7 +506,7 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 	}
 	spE.End()
 
-	cache := v.cacheStore()
+	cache := v.Opts.Cache
 	var key string
 	if v.Opts.ShardCount > 1 {
 		// Sharded sweep: the unit's content fingerprint decides which
@@ -535,7 +520,6 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 			return io, nil
 		}
 	}
-	journal := v.Opts.Journal
 	if cache != nil {
 		spC := sc.Start(obs.PhaseCacheProbe)
 		if key == "" {
@@ -545,15 +529,8 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 		spC.SetAttr(obs.Str("status", st.String()))
 		spC.End()
 		sc.Registry().Counter("vcache." + st.String()).Inc()
-		// A stale entry (a cached timeout the ladder would re-escalate) is
-		// still final for a resumed sweep when the journal says this sweep
-		// already completed the unit: it was solved under this very
-		// configuration by the killed attempt.
-		if st == vcache.Hit || (st == vcache.Stale && journal != nil && journal.Done(key)) {
+		if st == vcache.Hit {
 			if err := applyEntry(e, io); err == nil {
-				if journal != nil {
-					_ = journal.Record(key)
-				}
 				return io, nil
 			}
 			// An undecodable entry degrades to a miss: fall through and
@@ -610,12 +587,6 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 		return nil, cerr
 	}
 	v.recordOutcome(cache, key, rule, sig, io, budget, time.Since(start))
-	// Journal strictly after the cache write: a key in the journal always
-	// has a replayable verdict behind it, so a kill between the two just
-	// re-runs the unit (into a cache hit) on resume.
-	if journal != nil {
-		_ = journal.Record(key)
-	}
 	return io, nil
 }
 

@@ -3,7 +3,10 @@ package difftest
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crocus/internal/smt"
@@ -27,38 +30,66 @@ func queryBudget(t *testing.T) int {
 }
 
 // runMatrix drives n queries in batches through the full configuration
-// matrix, shrinking and reporting the first disagreement.
+// matrix, shrinking and reporting the first disagreement. Batch bi owns
+// its builder and seed+bi, so batches are independent and run on
+// GOMAXPROCS goroutines. Workers take batches in index order and stop
+// past the lowest failing one, so every lower batch is checked and the
+// report names the batch a serial run would have stopped at.
 func runMatrix(t *testing.T, n int, seed int64, defHeavy bool) {
 	t.Helper()
 	configs := Matrix()
 	const batchSize = 25
-	done := 0
-	for bi := 0; done < n; bi++ {
-		nq := batchSize
-		if n-done < nq {
-			nq = n - done
-		}
-		src := RandSource{R: rand.New(rand.NewSource(seed + int64(bi)))}
-		b := smt.NewBuilder()
-		g := NewGen(b, src)
-		g.DefHeavy = defHeavy
-		batch := &Batch{B: b}
-		for i := 0; i < nq; i++ {
-			batch.Queries = append(batch.Queries, g.Query())
-		}
-		if d := CheckBatch(batch, configs); d != nil {
-			asserts := batch.Queries[d.QueryIndex].Asserts
-			report := Format(b, asserts)
-			if CheckQuery(b, asserts, configs) != nil {
-				min := Shrink(b, asserts, configs)
-				report = Format(b, min)
-			} else {
-				report += "(failure needs session history; full batch required to reproduce)\n"
+	nb := (n + batchSize - 1) / batchSize
+	var (
+		next   atomic.Int64
+		mu     sync.Mutex
+		first  = nb // lowest failing batch so far
+		failed *Batch
+		diff   *Disagreement
+		wg     sync.WaitGroup
+	)
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				bi := int(next.Add(1) - 1)
+				mu.Lock()
+				stop := bi >= first
+				mu.Unlock()
+				if stop {
+					return
+				}
+				src := RandSource{R: rand.New(rand.NewSource(seed + int64(bi)))}
+				b := smt.NewBuilder()
+				g := NewGen(b, src)
+				g.DefHeavy = defHeavy
+				batch := &Batch{B: b}
+				for i := 0; i < min(batchSize, n-bi*batchSize); i++ {
+					batch.Queries = append(batch.Queries, g.Query())
+				}
+				if d := CheckBatch(batch, configs); d != nil {
+					mu.Lock()
+					if bi < first {
+						first, failed, diff = bi, batch, d
+					}
+					mu.Unlock()
+				}
 			}
-			t.Fatalf("batch %d (seed %d): %v\nreproducer:\n%s", bi, seed+int64(bi), d, report)
-		}
-		done += nq
+		}()
 	}
+	wg.Wait()
+	if failed == nil {
+		return
+	}
+	b, asserts := failed.B, failed.Queries[diff.QueryIndex].Asserts
+	report := Format(b, asserts)
+	if CheckQuery(b, asserts, configs) != nil {
+		report = Format(b, Shrink(b, asserts, configs))
+	} else {
+		report += "(failure needs session history; full batch required to reproduce)\n"
+	}
+	t.Fatalf("batch %d (seed %d): %v\nreproducer:\n%s", first, seed+int64(first), diff, report)
 }
 
 // TestDiffMatrix is the main differential driver: seeded random queries

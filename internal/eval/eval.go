@@ -50,10 +50,6 @@ type Config struct {
 	// RetryBudgets is the timeout-escalation ladder applied to
 	// budget-capped runs (see core.Options.RetryBudgets).
 	RetryBudgets []int64
-	// Journal, when set, records each completed verification unit of the
-	// Table 1 sweep so a killed run resumes where it died (see
-	// core.Options.Journal). The caller owns open/complete/close.
-	Journal *vcache.Journal
 }
 
 func (c Config) timeout() time.Duration {
@@ -170,7 +166,6 @@ func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr err
 		PropagationBudget: cfg.PropagationBudget,
 		RetryBudgets:      cfg.RetryBudgets,
 		Cache:             cache,
-		Journal:           cfg.Journal,
 	})
 	custom := core.New(prog, core.Options{
 		Timeout:           cfg.timeout(),
@@ -178,7 +173,6 @@ func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr err
 		PropagationBudget: cfg.PropagationBudget,
 		RetryBudgets:      cfg.RetryBudgets,
 		Cache:             cache,
-		Journal:           cfg.Journal,
 	})
 
 	res := &Table1Result{ProgramRules: len(prog.Rules)}

@@ -277,10 +277,10 @@ func hitSlow(name string) error {
 	return nil
 }
 
-// Bytes is the failpoint for byte-stream seams (cache appends, journal
-// writes): armed with a corrupt-kind fault that triggers, it returns a
-// mangled copy of b — truncated mid-record with a flipped byte, the
-// shape of a torn or scrambled write. Otherwise b is returned unchanged
+// Bytes is the failpoint for byte-stream seams (the cache's appends):
+// armed with a corrupt-kind fault that triggers, it returns a mangled
+// copy of b — truncated mid-record with a flipped byte, the shape of a
+// torn or scrambled write. Otherwise b is returned unchanged
 // (never copied), so the disarmed path stays allocation-free.
 func Bytes(name string, b []byte) []byte {
 	if !armed.Load() {

@@ -26,6 +26,8 @@
 package serve
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"crocus/internal/core"
@@ -190,6 +192,24 @@ func newInstVerdict(io *core.InstOutcome) InstVerdict {
 		iv.Error = io.Err.Error()
 	}
 	return iv
+}
+
+// validate rejects a request that names no rule or asks for a negative
+// propagation budget, which the solver would read as unlimited and the
+// cache would then hold as a timeout that is stale on every run.
+func (req *VerifyRequest) validate() error {
+	if req.Rule == "" {
+		return errors.New("missing rule name")
+	}
+	if req.PropagationBudget < 0 {
+		return fmt.Errorf("bad propagation_budget %d (want >= 0; 0 = unlimited)", req.PropagationBudget)
+	}
+	for _, b := range req.RetryBudgets {
+		if b < 0 {
+			return fmt.Errorf("bad retry_budgets entry %d (want >= 0; 0 = unlimited)", b)
+		}
+	}
+	return nil
 }
 
 // timeoutFromMS resolves a request's TimeoutMS against the server's

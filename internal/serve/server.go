@@ -576,8 +576,8 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 	// the deferred release frees the probe slot; after a normal observe
 	// it is a no-op.
 	defer probeDone()
-	if req.Rule == "" {
-		return nil, http.StatusBadRequest, errors.New("missing rule name")
+	if err := req.validate(); err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 	prog, progID, custom, err := s.program(ctx, req)
 	if err != nil {

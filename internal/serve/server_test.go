@@ -253,7 +253,8 @@ func TestVerifyRequestErrors(t *testing.T) {
 // TestVerifyRejectsEngineSwitches: solver pipeline and engine switches
 // are not part of the wire API. A body carrying one is an unknown field
 // to the strict decoder, so it gets a 400 before any unit reaches the
-// worker pool.
+// worker pool. A negative budget gets the same 400: the solver would
+// read it as unlimited, and its cached timeouts would be stale forever.
 func TestVerifyRejectsEngineSwitches(t *testing.T) {
 	s := newTestServer(t, Config{MaxInflight: 1})
 	ts := httptest.NewServer(s.Handler())
@@ -272,8 +273,15 @@ func TestVerifyRejectsEngineSwitches(t *testing.T) {
 		}
 		return resp.StatusCode, buf.Bytes()
 	}
-	for _, field := range []string{"fresh", "no_inprocess", "no_structhash"} {
-		status, body := post(`{"corpus":"midend","rule":"bor_band_not_fixed","` + field + `":true}`)
+	for _, tc := range []struct{ field, value string }{
+		{"fresh", "true"},
+		{"no_inprocess", "true"},
+		{"no_structhash", "true"},
+		{"propagation_budget", "-1"},
+		{"retry_budgets", "[100000,-1]"},
+	} {
+		field := tc.field
+		status, body := post(`{"corpus":"midend","rule":"bor_band_not_fixed","` + field + `":` + tc.value + `}`)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", field, status, body)
 		}

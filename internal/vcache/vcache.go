@@ -24,6 +24,12 @@
 // Close flushes and releases it, both with error returns — long-lived
 // hosts (the CLIs at exit, crocus-serve on drain) call Close so disk
 // failures surface instead of vanishing with the process.
+//
+// The store is therefore also a sweep's record of progress: rerunning a
+// killed sweep with the same settings on the same directory replays
+// every unit the dead process finished and solves only the rest. Its
+// cached timeouts were tried under the same deadline and budget, so
+// none of them is stale.
 package vcache
 
 import (
