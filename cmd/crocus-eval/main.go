@@ -15,7 +15,9 @@
 // completed is flushed as a clearly-marked PARTIAL report and the process
 // exits 130. With -cache-dir, every completed verification unit is
 // already persisted, so rerunning the same command after Ctrl-C or
-// kill -9 resumes from cache hits.
+// kill -9 resumes from cache hits. A -cache-dir that cannot be opened
+// disables the cache for the run (one line on stderr), never the
+// experiments.
 package main
 
 import (
@@ -36,6 +38,7 @@ import (
 	"crocus/internal/faultinject"
 	"crocus/internal/obs"
 	"crocus/internal/obs/promtext"
+	"crocus/internal/vcache"
 )
 
 // parseBudgets checks the -propagation-budget value and parses the
@@ -100,11 +103,17 @@ func main() {
 		// "silently serialize".
 		*parallel = runtime.NumCPU()
 	}
+	var cache *vcache.Cache
+	if *cacheDir != "" {
+		if cache, err = vcache.Open(*cacheDir); err != nil {
+			fmt.Fprintln(os.Stderr, "crocus-eval: cache disabled:", err)
+		}
+	}
 	cfg := eval.Config{
 		Timeout:           *timeout,
 		Distinct:          *distinct,
 		Parallelism:       *parallel,
-		CacheDir:          *cacheDir,
+		Cache:             cache,
 		PropagationBudget: *budget,
 		RetryBudgets:      ladder,
 	}
@@ -156,9 +165,6 @@ func main() {
 				fail(err)
 			}
 			fmt.Println(res.Render())
-			if res.Cache != nil {
-				fmt.Println(res.Cache)
-			}
 			if *profileRules != "" {
 				prof := &core.HardnessProfile{
 					Corpus:    "aarch64",
@@ -198,7 +204,7 @@ func main() {
 	}
 	if (run["knownbugs"] || run["newbugs"]) && !interrupted {
 		traced("bugs", func(ctx context.Context) {
-			rs, stats, err := eval.BugsStatsContext(ctx, cfg)
+			rs, err := eval.BugsContext(ctx, cfg)
 			if err != nil && ctx.Err() == nil {
 				fail(err)
 			}
@@ -214,16 +220,22 @@ func main() {
 				}
 			}
 			fmt.Println(eval.RenderBugs(filtered))
-			if stats != nil {
-				fmt.Println(stats)
-			}
 		})
 	}
 	if faultinject.Enabled() {
 		logger.Info(faultinject.Summary())
 	}
+	exit := 0
+	if cache != nil {
+		fmt.Println(cache.Stats())
+		if err := cache.Close(); err != nil {
+			fmt.Fprintln(os.Stderr, "crocus-eval: cache flush:", err)
+			exit = 1
+		}
+	}
 	if interrupted {
 		logger.Warn("crocus-eval: interrupted — report above is partial; re-run with the same -cache-dir to resume from cached results")
-		os.Exit(130)
+		exit = 130
 	}
+	os.Exit(exit)
 }

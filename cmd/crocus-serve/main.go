@@ -7,24 +7,25 @@
 //	crocus-serve [-addr localhost:8742] [-corpora aarch64,x64,midend]
 //	             [-cache-dir DIR] [-max-inflight N] [-queue-timeout 30s]
 //	             [-drain-timeout 30s] [-timeout 5s] [-max-timeout 10m]
-//	             [-shed-latency D] [-faults SPEC] [-pprof-addr ADDR]
+//	             [-faults SPEC] [-pprof-addr ADDR]
 //	             [-log-format text|json] [-log-level LEVEL]
 //	             [-flight-latency D] [-flight-exemplars N] [-flight-dump PATH]
 //
 // Endpoints: POST /v1/verify, POST /v1/verify/batch, GET /v1/healthz
-// (liveness), GET /v1/readyz (readiness: 503 while draining or load
-// shedding), GET /v1/statusz, GET /metricsz (OpenMetrics text
-// exposition for Prometheus scraping), GET /v1/debug/flightz (retained
-// flight-recorder exemplars). On SIGTERM (or SIGINT) the daemon drains:
+// (liveness), GET /v1/readyz (readiness: 503 while draining), GET
+// /v1/statusz, GET /metricsz (OpenMetrics text exposition for
+// Prometheus scraping), GET /v1/debug/flightz (retained flight-recorder
+// exemplars). On SIGTERM (or SIGINT) the daemon drains:
 // it stops accepting work, lets in-flight requests finish (or cancels
 // them after -drain-timeout), flushes the JSONL cache tier, and exits 0.
 // On SIGQUIT it stays up and dumps a Chrome-trace snapshot of the
 // flight-recorder ring to -flight-dump.
 //
-// With -shed-latency, a queue-latency circuit breaker sheds new requests
-// with 429 + Retry-After before the worker pool saturates. -faults (or
-// CROCUS_FAULTS) arms the deterministic fault-injection registry for
-// chaos testing; statusz reports the armed spec and per-site counters.
+// A request that gets no worker slot within -queue-timeout is shed with
+// 429 and Retry-After (a batch with such an item is shed whole), and
+// crocus -server retries it after that delay. -faults (or CROCUS_FAULTS)
+// arms the deterministic fault-injection registry for chaos testing;
+// statusz reports the armed spec and per-site counters.
 package main
 
 import (
@@ -56,12 +57,11 @@ func main() {
 	corpora := flag.String("corpora", "aarch64,x64,midend", "comma-separated resident corpora to load at startup")
 	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory (JSONL tier); empty keeps the cache in memory only")
 	maxInflight := flag.Int("max-inflight", 0, "bound on concurrently solving requests (0 = GOMAXPROCS)")
-	queueTimeout := flag.Duration("queue-timeout", 30*time.Second, "max wait for a worker slot before replying 429")
+	queueTimeout := flag.Duration("queue-timeout", 30*time.Second, "max wait for a worker slot before replying 429 with Retry-After")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max graceful drain before in-flight requests are canceled")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-unit solver deadline")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "ceiling for request-supplied solver deadlines")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof, expvar metrics, and /metricsz on this address")
-	shedLatency := flag.Duration("shed-latency", 0, "queue-latency circuit breaker: shed new requests with 429 + Retry-After when recent slot waits mostly exceed this (0 disables)")
 	faults := flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
 	logFormat := flag.String("log-format", "text", "structured log format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -114,7 +114,6 @@ func main() {
 		DrainTimeout:    *drainTimeout,
 		Timeout:         *timeout,
 		MaxTimeout:      *maxTimeout,
-		ShedLatency:     *shedLatency,
 		Tracer:          tracer,
 		Logger:          logger,
 		FlightLatency:   *flightLatency,

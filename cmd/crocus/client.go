@@ -87,16 +87,15 @@ type clientConfig struct {
 	ladder     []int64
 	reqTimeout time.Duration
 	retries    int
-	hedgeAfter time.Duration
 }
 
 // runClient submits the run to a crocus-serve daemon and renders the
 // verdicts. Returns the process exit code (same convention as local
 // verification: 2 on counterexample, 1 on error). Requests go through
-// the resilient client: per-attempt timeouts, capped-backoff retries on
-// 429/5xx/connection errors (honoring the daemon's Retry-After when it
-// sheds load), and optional hedging — safe because the daemon coalesces
-// identical in-flight work.
+// the resilient client: an attempt that stalls past -server-timeout is
+// abandoned, and failed attempts (429, 5xx, connection errors) are
+// retried up to -server-retries times with capped backoff, waiting at
+// least the Retry-After a shedding daemon sends.
 func runClient(cfg clientConfig) int {
 	// Flag semantics: -server-retries 0 means no retries; the library's
 	// zero value means the default, so translate 0 to the explicit
@@ -108,7 +107,6 @@ func runClient(cfg clientConfig) int {
 	rc := resilient.New(resilient.Config{
 		Timeout:    cfg.reqTimeout,
 		MaxRetries: retries,
-		HedgeAfter: cfg.hedgeAfter,
 	})
 	// SIGINT/SIGTERM cancel the in-flight request (and its retries)
 	// instead of abandoning the connection.

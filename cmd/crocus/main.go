@@ -8,7 +8,7 @@
 //	crocus [-timeout 5s] [-rule name] [-distinct] [-parallel N] [-stats]
 //	       [-cache-dir DIR]
 //	       [-shard i/n] [-cache-merge DIR,DIR...] [-faults SPEC]
-//	       [-server URL] [-server-timeout D] [-server-retries N] [-hedge-after D]
+//	       [-server URL] [-server-timeout D] [-server-retries N]
 //	       [-trace FILE] [-trace-jsonl FILE] [-metrics] [-pprof-addr ADDR]
 //	       [-corpus aarch64|x64|midend|bug:<id>] [file.isle ...]
 //
@@ -29,7 +29,10 @@
 //
 // With -server, the run is verified by the daemon, and a flag only a
 // local run reads (-parallel, -cache-dir, -shard, -trace,
-// -profile-rules, ...) is an error rather than silently ignored.
+// -profile-rules, ...) is an error rather than silently ignored. An
+// attempt that stalls past -server-timeout is abandoned, and a failed
+// one (429, 5xx, connection error) is retried up to -server-retries
+// times, waiting at least the Retry-After a shedding daemon sends.
 package main
 
 import (
@@ -173,7 +176,6 @@ var (
 	faults        = flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
 	serverTimeout = flag.Duration("server-timeout", 2*time.Minute, "per-attempt HTTP timeout for -server requests")
 	serverRetries = flag.Int("server-retries", 3, "retries after the first -server attempt on 429/5xx/connection errors (capped exponential backoff with jitter, honoring Retry-After; 0 disables)")
-	hedgeAfter    = flag.Duration("hedge-after", 0, "launch a hedged duplicate -server request if no response after this long (0 disables; safe: the daemon coalesces identical in-flight work)")
 	profileRules  = flag.String("profile-rules", "", "write a rule-hardness profile (per-rule wall time, SAT statistics, escalations, cache state, ranked by cost) as JSON to this file and print the top rules")
 	profileTop    = flag.Int("profile-top", 15, "rows in the printed rule-hardness table (-profile-rules)")
 	logFormat     = flag.String("log-format", "text", "diagnostic log format on stderr: text or json")
@@ -236,7 +238,6 @@ func main() {
 			ladder:     ladder,
 			reqTimeout: *serverTimeout,
 			retries:    *serverRetries,
-			hedgeAfter: *hedgeAfter,
 		})
 		printFaultSummary(logger)
 		os.Exit(code)

@@ -141,7 +141,7 @@ func TestCheckClientFlags(t *testing.T) {
 		// Every flag the -server path reads.
 		{[]string{"server", "corpus", "rule", "timeout", "distinct", "custom-vc", "stats",
 			"propagation-budget", "retry-budgets", "faults", "server-timeout",
-			"server-retries", "hedge-after", "log-format", "log-level"}, ""},
+			"server-retries", "log-format", "log-level"}, ""},
 		{[]string{"shard"}, "-shard applies to local sweeps, not -server runs"},
 		// Visit walks the set flags in name order; the first one is named.
 		{[]string{"trace", "cache-dir"}, "-cache-dir applies to local sweeps, not -server runs"},

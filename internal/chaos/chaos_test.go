@@ -206,8 +206,9 @@ const (
 // TestChaosChild is the kill/resume loop's subject process, not a test
 // in its own right: the parent re-executes the test binary with the env
 // set, SIGKILL faults armed at the cache append seam. It prints how many
-// units the cache already holds, runs a cached sweep and — only on full
-// completion — writes its verdicts and prints the cache's probe counts.
+// units the cache already holds and how many of those are timeouts, runs
+// a cached sweep and — only on full completion — writes its verdicts and
+// prints the cache's probe counts.
 func TestChaosChild(t *testing.T) {
 	dir := os.Getenv(chaosChildDirEnv)
 	if dir == "" {
@@ -223,9 +224,18 @@ func TestChaosChild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("chaos-child: resumed=%d\n", cache.Len())
+	timeouts := 0
+	for _, e := range cache.Entries() {
+		if e.Outcome == core.OutcomeTimeout.String() {
+			timeouts++
+		}
+	}
+	fmt.Printf("chaos-child: resumed=%d timeouts=%d\n", cache.Len(), timeouts)
 
-	opts := chaosOpts()
+	// One worker appends units in source order, so every kill point is
+	// reproducible and the budget timeouts of x64's first two rules are
+	// among the first units a killed attempt leaves on disk.
+	opts := chaosOptsAt(1)
 	opts.Cache = cache
 	verdicts := sweep(t, corpus.LoadX64, opts)
 
@@ -250,14 +260,15 @@ func TestChaosChild(t *testing.T) {
 // record of progress: the completed run's verdicts must match a clean
 // in-process sweep exactly, some attempt must have opened on units a
 // killed one left behind, and the completing attempt must replay every
-// unit it found on disk — no stale entry, no re-solve.
+// unit it found on disk — no stale entry, no re-solve — cached budget
+// timeouts among them.
 func TestKillResumeVerify(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess kill/resume loop")
 	}
 	dir := t.TempDir()
 
-	kills, resumed, resumedMax := 0, 0, 0
+	kills, resumed, resumedMax, resumedTimeouts := 0, 0, 0, 0
 	var final vcache.Stats
 	completed := false
 	const maxAttempts = 40
@@ -275,7 +286,7 @@ func TestKillResumeVerify(t *testing.T) {
 		)
 		out, err := cmd.CombinedOutput()
 		for _, line := range strings.Split(string(out), "\n") {
-			if _, err := fmt.Sscanf(line, "chaos-child: resumed=%d", &resumed); err == nil && resumed > resumedMax {
+			if _, err := fmt.Sscanf(line, "chaos-child: resumed=%d timeouts=%d", &resumed, &resumedTimeouts); err == nil && resumed > resumedMax {
 				resumedMax = resumed
 			}
 			fmt.Sscanf(line, "chaos-child: cache: %d hits, %d misses, %d stale",
@@ -283,8 +294,8 @@ func TestKillResumeVerify(t *testing.T) {
 		}
 		if err == nil {
 			completed = true
-			t.Logf("attempt %d completed after %d kills (resumed=%d, max resumed=%d, %s)",
-				attempt, kills, resumed, resumedMax, final)
+			t.Logf("attempt %d completed after %d kills (resumed=%d with %d timeouts, max resumed=%d, %s)",
+				attempt, kills, resumed, resumedTimeouts, resumedMax, final)
 			break
 		}
 		ee, ok := err.(*exec.ExitError)
@@ -306,6 +317,9 @@ func TestKillResumeVerify(t *testing.T) {
 	}
 	if resumedMax == 0 {
 		t.Fatal("no attempt opened on prior progress; the cache never carried state across a kill")
+	}
+	if resumedTimeouts == 0 {
+		t.Fatal("the completing attempt opened on no cached timeout; the stale check never met one")
 	}
 	if final.Stale != 0 || final.Hits < uint64(resumed) {
 		t.Fatalf("completing attempt found %d units on disk but probed %s; resume re-solved finished units",

@@ -22,10 +22,10 @@
 //     cache append seam, the worst possible moment) resumes from the
 //     cache alone in a fresh process and converges to exactly the clean
 //     run's verdicts; the completing process replays every unit it
-//     found on disk, with no stale entry and no re-solve. The
-//     kill/resume loop re-executes the test binary as a child process,
-//     so the kills are real process deaths — no flushes, no deferred
-//     handlers.
+//     found on disk, cached budget timeouts included, with no stale
+//     entry and no re-solve. The kill/resume loop re-executes the test
+//     binary as a child process, so the kills are real process deaths —
+//     no flushes, no deferred handlers.
 //
 // The CI chaos-smoke job runs the same invariants against the real CLI
 // binaries via CROCUS_FAULTS.

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"crocus/internal/vcache"
 )
 
 // reducedCorpus is a handful of fast-solving aarch64 rules, enough to
@@ -18,15 +20,32 @@ var reducedCorpus = []string{
 	"ushr_64",
 }
 
+// openCache opens the result store under dir and closes it when the
+// test ends (closing twice is a no-op).
+func openCache(t *testing.T, dir string) *vcache.Cache {
+	t.Helper()
+	c, err := vcache.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := c.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	return c
+}
+
 // TestTable1ColdWarmReducedCorpus is the tentpole acceptance test: a cold
 // Table 1 run followed by a warm one over the same cache directory must
 // render identical output, hit on every probe, and spend a small fraction
 // of the cold run's wall time (the warm run is dominated by parsing).
 func TestTable1ColdWarmReducedCorpus(t *testing.T) {
+	dir := t.TempDir()
 	cfg := Config{
-		Timeout:  20 * time.Second,
-		CacheDir: t.TempDir(),
-		Rules:    reducedCorpus,
+		Timeout: 20 * time.Second,
+		Cache:   openCache(t, dir),
+		Rules:   reducedCorpus,
 	}
 
 	coldStart := time.Now()
@@ -35,27 +54,30 @@ func TestTable1ColdWarmReducedCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	coldWall := time.Since(coldStart)
-	if cold.Cache == nil {
-		t.Fatal("cold run reported no cache stats")
-	}
-	if cold.Cache.Hits != 0 || cold.Cache.Misses == 0 {
-		t.Fatalf("cold cache stats = %+v", cold.Cache)
+	if st := cfg.Cache.Stats(); st.Hits != 0 || st.Misses == 0 {
+		t.Fatalf("cold cache stats = %+v", st)
 	}
 	if cold.TotalRules != len(reducedCorpus) {
 		t.Fatalf("reduced corpus kept %d rules, want %d", cold.TotalRules, len(reducedCorpus))
 	}
 
+	// The warm run reopens the directory: it replays from disk.
+	if err := cfg.Cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Cache = openCache(t, dir)
 	warmStart := time.Now()
 	warm, err := Table1(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warmWall := time.Since(warmStart)
-	if warm.Cache == nil || warm.Cache.Misses != 0 || warm.Cache.Stale != 0 || warm.Cache.Hits == 0 {
-		t.Fatalf("warm run not fully served from cache: %+v", warm.Cache)
+	ws := cfg.Cache.Stats()
+	if ws.Misses != 0 || ws.Stale != 0 || ws.Hits == 0 {
+		t.Fatalf("warm run not fully served from cache: %+v", ws)
 	}
-	if warm.Cache.HitRate() != 1 {
-		t.Fatalf("warm hit rate = %.0f%%, want 100%%", 100*warm.Cache.HitRate())
+	if ws.HitRate() != 1 {
+		t.Fatalf("warm hit rate = %.0f%%, want 100%%", 100*ws.HitRate())
 	}
 
 	if got, want := warm.Render(), cold.Render(); got != want {
@@ -68,7 +90,7 @@ func TestTable1ColdWarmReducedCorpus(t *testing.T) {
 	if warmWall > coldWall/2 {
 		t.Errorf("warm run took %v, cold %v; expected warm < cold/2", warmWall, coldWall)
 	}
-	t.Logf("cold %v, warm %v, warm cache %v", coldWall, warmWall, warm.Cache)
+	t.Logf("cold %v, warm %v, warm cache %v", coldWall, warmWall, ws)
 }
 
 // TestBugsCachedMatchesUncached: the §4.3/§4.4 bug reproductions must
@@ -113,24 +135,29 @@ func TestBugsCachedMatchesUncached(t *testing.T) {
 		t.Fatal("no bug reproduced within the propagation budget")
 	}
 
-	cached := Config{Timeout: time.Hour, PropagationBudget: 5_000_000, CacheDir: t.TempDir()}
-	cold, stats, err := BugsStats(cached)
+	dir := t.TempDir()
+	cached := Config{Timeout: time.Hour, PropagationBudget: 5_000_000, Cache: openCache(t, dir)}
+	cold, err := Bugs(cached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats == nil || stats.Misses == 0 {
-		t.Fatalf("cold bug run cache stats = %+v", stats)
+	if st := cached.Cache.Stats(); st.Misses == 0 {
+		t.Fatalf("cold bug run cache stats = %+v", st)
 	}
 	if got := flatten(cold); !reflect.DeepEqual(got, want) {
 		t.Fatalf("cold cached bug results differ from uncached:\n%+v\n%+v", got, want)
 	}
 
-	warm, stats, err := BugsStats(cached)
+	if err := cached.Cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cached.Cache = openCache(t, dir)
+	warm, err := Bugs(cached)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats == nil || stats.Misses != 0 || stats.Hits == 0 {
-		t.Fatalf("warm bug run not fully served from cache: %+v", stats)
+	if st := cached.Cache.Stats(); st.Misses != 0 || st.Hits == 0 {
+		t.Fatalf("warm bug run not fully served from cache: %+v", st)
 	}
 	if got := flatten(warm); !reflect.DeepEqual(got, want) {
 		t.Fatalf("warm cached bug results differ from uncached:\n%+v\n%+v", got, want)

@@ -35,11 +35,12 @@ type Config struct {
 	// (0/1 = one worker). Figure 4 always runs sequentially because it
 	// measures per-rule isolation times.
 	Parallelism int
-	// CacheDir enables the incremental-verification result cache for
+	// Cache, when set, is the incremental-verification result store for
 	// Table 1 and the bug reproductions: a warm re-run replays stored
 	// verdicts instead of re-solving, so it is dominated by parse time.
-	// Figure 4 never uses the cache (it measures solve times).
-	CacheDir string
+	// The caller opens and closes it. Figure 4 never uses the cache (it
+	// measures solve times).
+	Cache *vcache.Cache
 	// Rules, when non-empty, restricts Table 1 to the named rules (a
 	// reduced corpus for quick cold/warm cache experiments and tests).
 	Rules []string
@@ -101,11 +102,6 @@ type Table1Result struct {
 	Interrupted bool
 	// ProgramRules is how many rules the corpus sweep set out to verify.
 	ProgramRules int
-
-	// Cache holds the run's result-cache probe counters when
-	// Config.CacheDir was set (nil otherwise). Deliberately excluded from
-	// Render so cold and warm runs produce identical Table 1 output.
-	Cache *vcache.Stats
 }
 
 // Table1 verifies the full aarch64 integer corpus (96 rules) across all
@@ -122,7 +118,7 @@ func Table1(cfg Config) (*Table1Result, error) {
 // interrupted run still flushes a usable report — and, with a cache
 // configured, every completed unit is already persisted for the next
 // run to replay.
-func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr error) {
+func Table1Context(ctx context.Context, cfg Config) (*Table1Result, error) {
 	sp := obs.Start(ctx, obs.PhaseParse, obs.Str("corpus", "aarch64"))
 	prog, err := corpus.LoadAarch64()
 	sp.End()
@@ -143,36 +139,23 @@ func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr err
 		}
 		prog = &reduced
 	}
-	var cache *vcache.Cache
-	if cfg.CacheDir != "" {
-		// One store shared by the strict and custom-VC verifiers: their
-		// units fingerprint differently wherever the conditions differ,
-		// and identically (shared hits) where they don't.
-		if cache, err = vcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		// The probe counters are copied into the result before this
-		// runs, so closing here never races the caller's reads.
-		defer func() {
-			if cerr := cache.Close(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("closing result cache: %w", cerr)
-			}
-		}()
-	}
+	// One store shared by the strict and custom-VC verifiers: their units
+	// fingerprint differently wherever the conditions differ, and
+	// identically (shared hits) where they don't.
 	strict := core.New(prog, core.Options{
 		Timeout:           cfg.timeout(),
 		DistinctModels:    cfg.Distinct,
 		Parallelism:       cfg.Parallelism,
 		PropagationBudget: cfg.PropagationBudget,
 		RetryBudgets:      cfg.RetryBudgets,
-		Cache:             cache,
+		Cache:             cfg.Cache,
 	})
 	custom := core.New(prog, core.Options{
 		Timeout:           cfg.timeout(),
 		Custom:            corpus.CustomVCs(),
 		PropagationBudget: cfg.PropagationBudget,
 		RetryBudgets:      cfg.RetryBudgets,
-		Cache:             cache,
+		Cache:             cfg.Cache,
 	})
 
 	res := &Table1Result{ProgramRules: len(prog.Rules)}
@@ -262,10 +245,6 @@ func Table1Context(ctx context.Context, cfg Config) (_ *Table1Result, retErr err
 		if anyTimeout && !anySuccess {
 			res.TimeoutAllTypes++
 		}
-	}
-	if cache != nil {
-		s := cache.Stats()
-		res.Cache = &s
 	}
 	return res, nil
 }
@@ -518,51 +497,30 @@ type BugResult struct {
 // produce its expected outcome (counterexample, single-model warning, or
 // verified-as-intended contrast).
 func Bugs(cfg Config) ([]*BugResult, error) {
-	out, _, err := BugsStats(cfg)
-	return out, err
+	return BugsContext(context.Background(), cfg)
 }
 
-// BugsStats is Bugs plus the run's result-cache probe counters (nil when
-// Config.CacheDir is unset).
-func BugsStats(cfg Config) ([]*BugResult, *vcache.Stats, error) {
-	return BugsStatsContext(context.Background(), cfg)
-}
-
-// BugsStatsContext is BugsStats under a cancellation context. On
-// cancellation it returns the reproductions completed so far together
-// with ctx.Err().
-func BugsStatsContext(ctx context.Context, cfg Config) (_ []*BugResult, _ *vcache.Stats, retErr error) {
-	var cache *vcache.Cache
-	if cfg.CacheDir != "" {
-		c, err := vcache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, nil, err
-		}
-		cache = c
-		defer func() {
-			if cerr := cache.Close(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("closing result cache: %w", cerr)
-			}
-		}()
-	}
+// BugsContext is Bugs under a cancellation context. On cancellation it
+// returns the reproductions completed so far together with ctx.Err().
+func BugsContext(ctx context.Context, cfg Config) ([]*BugResult, error) {
 	var out []*BugResult
 	for _, bug := range corpus.Bugs() {
 		if cerr := ctx.Err(); cerr != nil {
-			return out, nil, cerr
+			return out, cerr
 		}
 		start := time.Now()
 		sp := obs.Start(ctx, obs.PhaseParse, obs.Str("corpus", bug.ID))
 		prog, err := corpus.LoadBug(bug)
 		sp.End()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		v := core.New(prog, core.Options{
 			Timeout:           cfg.timeout(),
 			DistinctModels:    bug.DistinctModels,
 			PropagationBudget: cfg.PropagationBudget,
 			RetryBudgets:      cfg.RetryBudgets,
-			Cache:             cache,
+			Cache:             cfg.Cache,
 		})
 		res := &BugResult{Bug: bug, Detected: true}
 		names := make([]string, 0, len(bug.Expect))
@@ -574,14 +532,14 @@ func BugsStatsContext(ctx context.Context, cfg Config) (_ []*BugResult, _ *vcach
 			want := bug.Expect[name]
 			rule := findRule(prog.Rules, name)
 			if rule == nil {
-				return nil, nil, fmt.Errorf("bug %s: rule %s not found", bug.ID, name)
+				return nil, fmt.Errorf("bug %s: rule %s not found", bug.ID, name)
 			}
 			rr, err := v.VerifyRuleContext(ctx, rule)
 			if err != nil {
 				if ctx.Err() != nil {
-					return out, nil, ctx.Err()
+					return out, ctx.Err()
 				}
-				return nil, nil, err
+				return nil, err
 			}
 			got := rr.Outcome()
 			ok := got == want
@@ -613,12 +571,7 @@ func BugsStatsContext(ctx context.Context, cfg Config) (_ []*BugResult, _ *vcach
 		res.Duration = time.Since(start)
 		out = append(out, res)
 	}
-	var stats *vcache.Stats
-	if cache != nil {
-		s := cache.Stats()
-		stats = &s
-	}
-	return out, stats, nil
+	return out, nil
 }
 
 func findRule(rules []*isle.Rule, name string) *isle.Rule {

@@ -73,12 +73,12 @@ func TestSIGINTCancelsAndFlushesPartial(t *testing.T) {
 	}
 }
 
-// TestBugsStatsContextCanceled: cancellation surfaces as ctx.Err() with
-// the completed prefix, never a fabricated full report.
+// TestBugsStatsContextCanceled: BugsContext's cancellation surfaces as
+// ctx.Err() with the completed prefix, never a fabricated full report.
 func TestBugsStatsContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	out, _, err := BugsStatsContext(ctx, Config{Timeout: time.Second})
+	out, err := BugsContext(ctx, Config{Timeout: time.Second})
 	if err == nil {
 		t.Fatal("want ctx.Err() from a dead context")
 	}

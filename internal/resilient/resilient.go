@@ -1,17 +1,16 @@
 // Package resilient is the self-healing HTTP client behind crocus's
-// -server mode: every request runs under a per-attempt timeout, failed
+// -server mode: every request runs under a per-attempt timeout, so a
+// stalled attempt is abandoned rather than waited on, and failed
 // attempts (connection errors, 429s, 5xxs) are retried with capped
-// exponential backoff and jitter — honoring the daemon's Retry-After
-// header when it sheds load — and a slow attempt can optionally be
-// hedged with a duplicate request. Hedging is safe against crocus-serve
-// specifically because the daemon coalesces in-flight requests that ask
-// for the same program, rule and outcome-affecting options: the
-// duplicate joins the original's flight instead of doubling solver load.
+// exponential backoff and jitter. When the daemon sheds load it answers
+// 429 with Retry-After, and the next attempt waits at least that long.
+// Retrying is safe because verification is idempotent and the daemon
+// coalesces identical in-flight requests.
 //
-// The clock-touching seams (backoff sleeps, the hedge timer, jitter) are
-// injectable, so retry and hedge policy is unit-testable without real
-// sleeps; the "client.request" fault-injection site fails attempts
-// deterministically in chaos tests.
+// The clock-touching seams (backoff sleeps, jitter) are injectable, so
+// retry policy is unit-testable without real sleeps; the
+// "client.request" fault-injection site fails attempts deterministically
+// in chaos tests.
 package resilient
 
 import (
@@ -31,7 +30,7 @@ import (
 )
 
 // Config tunes the client. The zero value is usable: 2m per-attempt
-// timeout, 3 retries, 100ms..5s backoff, hedging off.
+// timeout, 3 retries, 100ms..5s backoff.
 type Config struct {
 	// Timeout bounds each individual attempt (connect through body read).
 	// A hung daemon costs one Timeout per attempt, never a hang.
@@ -44,15 +43,10 @@ type Config struct {
 	// retries: base·2^attempt, capped, with half-range jitter.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// HedgeAfter launches a duplicate request when an attempt has gone
-	// this long without a response; the first reply wins and the loser is
-	// canceled. Zero disables hedging.
-	HedgeAfter time.Duration
 
 	// Test seams. Nil fields use the real clock.
-	Sleep    func(ctx context.Context, d time.Duration) error
-	NewTimer func(d time.Duration) (<-chan time.Time, func())
-	Rand     func() float64
+	Sleep func(ctx context.Context, d time.Duration) error
+	Rand  func() float64
 }
 
 func (c Config) timeout() time.Duration {
@@ -100,59 +94,37 @@ func (e *HTTPError) Error() string {
 // Stats counts the resilience machinery's activations over the client's
 // lifetime, for the end-of-run summary line.
 type Stats struct {
-	Attempts  uint64 // individual HTTP attempts issued (including hedges)
-	Retries   uint64 // backoff-then-retry rounds
-	Hedges    uint64 // duplicate requests launched
-	HedgeWins uint64 // hedged duplicates that produced the winning reply
+	Attempts uint64 // individual HTTP attempts issued
+	Retries  uint64 // backoff-then-retry rounds
 }
 
-// Client issues JSON POSTs with retries and hedging. Safe for concurrent
-// use.
+// Client issues JSON POSTs with retries. Safe for concurrent use.
 type Client struct {
 	cfg Config
-	hc  *http.Client
 
-	attempts  atomic.Uint64
-	retries   atomic.Uint64
-	hedges    atomic.Uint64
-	hedgeWins atomic.Uint64
+	attempts atomic.Uint64
+	retries  atomic.Uint64
 }
 
 // New builds a client from cfg.
 func New(cfg Config) *Client {
-	return &Client{
-		cfg: cfg,
-		// The per-attempt context deadline is the primary bound; the
-		// http.Client timeout backstops it (covers body reads should a
-		// caller pass an unbounded context straight to once()).
-		hc: &http.Client{Timeout: cfg.timeout()},
-	}
+	return &Client{cfg: cfg}
 }
 
 // Stats snapshots the client's resilience counters.
 func (c *Client) Stats() Stats {
 	return Stats{
-		Attempts:  c.attempts.Load(),
-		Retries:   c.retries.Load(),
-		Hedges:    c.hedges.Load(),
-		HedgeWins: c.hedgeWins.Load(),
+		Attempts: c.attempts.Load(),
+		Retries:  c.retries.Load(),
 	}
 }
 
-// Summary renders the non-zero resilience counters ("" when the run never
-// needed the machinery).
+// Summary renders the retry count ("" when the run never retried).
 func (s Stats) Summary() string {
-	var parts []string
-	if s.Retries > 0 {
-		parts = append(parts, fmt.Sprintf("%d retried", s.Retries))
-	}
-	if s.Hedges > 0 {
-		parts = append(parts, fmt.Sprintf("%d hedged (%d hedge wins)", s.Hedges, s.HedgeWins))
-	}
-	if len(parts) == 0 {
+	if s.Retries == 0 {
 		return ""
 	}
-	return "server requests: " + strings.Join(parts, ", ")
+	return fmt.Sprintf("server requests: %d retried", s.Retries)
 }
 
 // PostJSON POSTs req as JSON to url and decodes the 200 reply into resp,
@@ -165,7 +137,7 @@ func (c *Client) PostJSON(ctx context.Context, url string, req, resp any) error 
 		return err
 	}
 	for attempt := 0; ; attempt++ {
-		res, err := c.doHedged(ctx, url, body)
+		res, err := c.do(ctx, url, body)
 		if err == nil && res.status == http.StatusOK {
 			return json.Unmarshal(res.data, resp)
 		}
@@ -232,14 +204,6 @@ func (c *Client) sleep(ctx context.Context, d time.Duration) error {
 	}
 }
 
-func (c *Client) newTimer(d time.Duration) (<-chan time.Time, func()) {
-	if c.cfg.NewTimer != nil {
-		return c.cfg.NewTimer(d)
-	}
-	t := time.NewTimer(d)
-	return t.C, func() { t.Stop() }
-}
-
 // wireResult is one attempt's decoded reply.
 type wireResult struct {
 	status     int
@@ -247,84 +211,24 @@ type wireResult struct {
 	retryAfter time.Duration
 }
 
-// ok reports a reply the hedging layer should accept immediately rather
-// than wait out the sibling attempt.
-func (r *wireResult) ok() bool { return !retryableStatus(r.status) }
-
-// doHedged runs one request round under the per-attempt timeout,
-// launching a duplicate if the primary is still silent after HedgeAfter.
-// First acceptable reply wins; returning cancels the straggler via the
-// shared attempt context.
-func (c *Client) doHedged(ctx context.Context, url string, body []byte) (*wireResult, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.timeout())
-	defer cancel()
-	if c.cfg.HedgeAfter <= 0 {
-		return c.once(actx, url, body)
-	}
-
-	type outcome struct {
-		res    *wireResult
-		err    error
-		hedged bool
-	}
-	ch := make(chan outcome, 2)
-	run := func(hedged bool) {
-		res, err := c.once(actx, url, body)
-		ch <- outcome{res, err, hedged}
-	}
-	go run(false)
-	timer, stopTimer := c.newTimer(c.cfg.HedgeAfter)
-	defer stopTimer()
-
-	outstanding := 1
-	hedgeLaunched := false
-	var last outcome
-	for {
-		select {
-		case o := <-ch:
-			outstanding--
-			last = o
-			if o.err == nil && o.res.ok() {
-				if o.hedged {
-					c.hedgeWins.Add(1)
-				}
-				return o.res, nil
-			}
-			// A failed attempt with its sibling still in flight: hold out
-			// for the sibling. With none left, report the last failure.
-			if outstanding == 0 && hedgeLaunched {
-				return last.res, last.err
-			}
-			if outstanding == 0 {
-				// Primary failed before the hedge timer: no point hedging
-				// a request we already know the answer to.
-				return o.res, o.err
-			}
-		case <-timer:
-			if !hedgeLaunched && outstanding > 0 {
-				hedgeLaunched = true
-				outstanding++
-				c.hedges.Add(1)
-				go run(true)
-			}
-		}
-	}
-}
-
-// once issues a single HTTP attempt. The "client.request" failpoint fails
-// attempts here, upstream of the real transport, so chaos tests exercise
-// the retry ladder deterministically.
-func (c *Client) once(ctx context.Context, url string, body []byte) (*wireResult, error) {
+// do issues a single HTTP attempt under the per-attempt timeout: an
+// attempt that stalls past it is abandoned, and PostJSON retries. The
+// "client.request" failpoint fails attempts here, upstream of the real
+// transport, so chaos tests exercise the retry ladder deterministically.
+func (c *Client) do(ctx context.Context, url string, body []byte) (*wireResult, error) {
 	c.attempts.Add(1)
 	if err := faultinject.Hit("client.request"); err != nil {
 		return nil, err
 	}
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.timeout())
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(req)
+	// The attempt's context deadline bounds the body read too.
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -226,79 +226,6 @@ func TestContextCancelStopsRetries(t *testing.T) {
 	}
 }
 
-// TestHedgeWins: the primary attempt stalls, the hedge timer fires, and
-// the duplicate's reply is delivered. The stalled primary eventually
-// answers with a retryable 500, so whichever reply reaches the client
-// first the hedge's 200 is the winner — ordering-deterministic without
-// wall-clock sleeps.
-func TestHedgeWins(t *testing.T) {
-	primaryIn := make(chan struct{})
-	release := make(chan struct{})
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			close(primaryIn)
-			<-release // primary stalls until the hedge finishes
-			http.Error(w, `{"error":"too late"}`, http.StatusInternalServerError)
-			return
-		}
-		defer close(release)
-		w.Write([]byte(`{"n":2}`))
-	}))
-	defer srv.Close()
-
-	hedgeFire := make(chan time.Time, 1)
-	c := New(Config{
-		HedgeAfter: time.Hour, // value unused: the injected timer decides
-		NewTimer: func(d time.Duration) (<-chan time.Time, func()) {
-			go func() {
-				<-primaryIn // hedge only once the primary is provably stalled
-				hedgeFire <- time.Time{}
-			}()
-			return hedgeFire, func() {}
-		},
-	})
-	var out echo
-	if err := c.PostJSON(context.Background(), srv.URL, map[string]int{}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.N != 2 {
-		t.Fatalf("got n=%d, want the hedge's reply (n=2)", out.N)
-	}
-	s := c.Stats()
-	if s.Hedges != 1 || s.HedgeWins != 1 {
-		t.Fatalf("stats %+v, want 1 hedge / 1 hedge win", s)
-	}
-}
-
-// TestNoHedgeWhenPrimaryFast: a prompt primary reply means the hedge
-// timer never launches a duplicate.
-func TestNoHedgeWhenPrimaryFast(t *testing.T) {
-	var calls atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		calls.Add(1)
-		w.Write([]byte(`{"n":1}`))
-	}))
-	defer srv.Close()
-
-	c := New(Config{
-		HedgeAfter: time.Hour,
-		NewTimer: func(d time.Duration) (<-chan time.Time, func()) {
-			return make(chan time.Time), func() {} // never fires
-		},
-	})
-	var out echo
-	if err := c.PostJSON(context.Background(), srv.URL, map[string]int{}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("server saw %d calls, want 1", calls.Load())
-	}
-	if s := c.Stats(); s.Hedges != 0 {
-		t.Fatalf("hedged without cause: %+v", s)
-	}
-}
-
 // TestPerAttemptTimeout: a hung server costs one Timeout per attempt,
 // never a hang.
 func TestPerAttemptTimeout(t *testing.T) {

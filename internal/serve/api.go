@@ -7,9 +7,9 @@
 //	POST /v1/verify        verify one rule (JSON in/out, per-request deadline)
 //	POST /v1/verify/batch  verify many rules concurrently in one call
 //	GET  /v1/healthz       liveness (200 while the process is up, even draining)
-//	GET  /v1/readyz        readiness (503 while draining or shedding load)
+//	GET  /v1/readyz        readiness (503 while draining)
 //	GET  /v1/statusz       obs counters, histogram summaries, cache stats,
-//	                       breaker state, resource watermarks, fault counters
+//	                       resource watermarks, fault counters
 //	GET  /metricsz         the same registry in OpenMetrics text exposition
 //	                       (Prometheus-scrapable)
 //	GET  /v1/debug/flightz retained flight-recorder exemplars: full span
@@ -19,10 +19,16 @@
 // the same program, rule and outcome-affecting options as one already
 // being solved waits for that flight instead of solving again
 // (singleflight semantics; the flight's result also lands in the shared
-// vcache, so later requests replay it without solving). On SIGTERM the
-// daemon drains gracefully: it stops accepting work, finishes or cancels
-// in-flight requests within the drain timeout, flushes the JSONL cache
-// tier, and exits 0.
+// vcache, so later requests replay it without solving).
+//
+// Overload has one answer: a request that gets no worker slot within
+// the queue timeout is shed with 429 and a Retry-After header, and a
+// batch with any shed item is shed as a whole. The batch's finished
+// items are already in the vcache, so the client's retry replays them.
+//
+// On SIGTERM the daemon drains gracefully: it stops accepting work,
+// finishes or cancels in-flight requests within the drain timeout,
+// flushes the JSONL cache tier, and exits 0.
 package serve
 
 import (
@@ -117,7 +123,8 @@ type BatchRequest struct {
 
 // BatchItem pairs one batch entry's verdict with its per-item status:
 // "ok", or "error" with the message (an item failing — unknown rule,
-// parse error, contained panic — never fails the batch).
+// parse error, contained panic — never fails the batch; only an item
+// shed by the queue timeout does, as a 429 for the whole batch).
 type BatchItem struct {
 	Status   string       `json:"status"`
 	Error    string       `json:"error,omitempty"`

@@ -59,12 +59,6 @@ type Config struct {
 	// MaxTimeout ceils request-supplied solver deadlines. 0 means 10m.
 	MaxTimeout time.Duration
 
-	// ShedLatency arms the queue-latency circuit breaker: when a majority
-	// of recent requests waited longer than this for a worker slot, the
-	// breaker opens and new requests are shed with 429 + Retry-After
-	// before the queue saturates. 0 disables shedding.
-	ShedLatency time.Duration
-
 	// Tracer carries request spans and, when set, its registry receives
 	// the serve counters. Nil still counts (into a private registry) but
 	// records no spans.
@@ -122,7 +116,6 @@ type Server struct {
 
 	slots chan struct{} // admission semaphore (request-level)
 	pool  *sched.Pool   // work-stealing pool verification units run on
-	brk   *breaker      // queue-latency load shedding (nil-safe when disabled)
 
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -220,7 +213,6 @@ func New(cfg Config) (*Server, error) {
 		cancelBase: cancel,
 		slots:      make(chan struct{}, cfg.MaxInflight),
 		pool:       sched.NewPool(cfg.MaxInflight, reg),
-		brk:        newBreaker(cfg.ShedLatency, 0, nil),
 		flights:    map[string]*flight{},
 		parsed:     map[string]*isle.Program{},
 	}
@@ -414,6 +406,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	items := make([]BatchItem, len(breq.Requests))
+	var shed error // the first item's queue-timeout 429, if any
+	var shedOnce sync.Once
 	var wg sync.WaitGroup
 	for i := range breq.Requests {
 		wg.Add(1)
@@ -427,8 +421,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 					items[i] = BatchItem{Status: "error", Error: fmt.Sprintf("contained panic: %v", p)}
 				}
 			}()
-			resp, _, err := s.verifyOne(ctx, &breq.Requests[i])
+			resp, status, err := s.verifyOne(ctx, &breq.Requests[i])
 			if err != nil {
+				if status == http.StatusTooManyRequests {
+					shedOnce.Do(func() { shed = err })
+				}
 				items[i] = BatchItem{Status: "error", Error: err.Error()}
 				return
 			}
@@ -436,6 +433,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 	wg.Wait()
+	// A shed item sheds the whole batch. As a per-item error in a 200 it
+	// would never be retried; a 429 with Retry-After is, and the items
+	// that finished are in the vcache for the retry to replay.
+	if shed != nil {
+		writeError(w, http.StatusTooManyRequests, shed)
+		return
+	}
 	writeJSON(w, http.StatusOK, &BatchResponse{Items: items})
 }
 
@@ -447,19 +451,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleReadyz is readiness: 503 while draining or while the breaker is
-// shedding, 200 when the daemon wants traffic.
+// handleReadyz is readiness: 503 while draining, 200 when the daemon
+// wants traffic.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	switch {
-	case s.draining.Load():
+	if s.draining.Load() {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
-	case s.brk.isOpen():
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "shedding")
-	default:
-		fmt.Fprintln(w, "ok")
+		return
 	}
+	fmt.Fprintln(w, "ok")
 }
 
 // HistogramSummary is the wire digest of one obs histogram. P50/P95/P99
@@ -500,8 +500,6 @@ type StatusReport struct {
 	// Sched is the shared unit scheduler's live state: real queue depth,
 	// steal counts, and per-worker unit totals.
 	Sched sched.Stats `json:"sched"`
-	// Breaker is the load-shedding circuit breaker's state.
-	Breaker BreakerStatus `json:"breaker"`
 	// Watermarks are the per-request resource high-water marks.
 	Watermarks Watermarks `json:"watermarks"`
 	// FaultSpec and Faults surface the fault-injection registry when armed
@@ -522,7 +520,6 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		CacheLen:    s.cache.Len(),
 		Cache:       s.cache.Stats(),
 		Sched:       s.pool.Stats(),
-		Breaker:     s.brk.status(),
 		Watermarks: Watermarks{
 			Goroutines:     runtime.NumGoroutine(),
 			PeakGoroutines: s.peakGoroutines.Load(),
@@ -561,21 +558,6 @@ func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResp
 		s.reg.Counter("serve.rejected.draining").Inc()
 		return nil, http.StatusServiceUnavailable, errDraining
 	}
-	ok, after, probeDone := s.brk.allow()
-	if !ok {
-		s.reg.Counter("serve.rejected.breaker").Inc()
-		obs.FlightFromContext(ctx).Promote(obs.FlightShed)
-		return nil, http.StatusTooManyRequests, retryAfterError{
-			err:   errors.New("shedding load (queue-latency breaker open)"),
-			after: after,
-		}
-	}
-	// If this request was admitted as the half-open probe but exits on a
-	// path that never reaches acquire's observe (validation error, rule
-	// not found, coalesced onto another flight, canceled while queueing),
-	// the deferred release frees the probe slot; after a normal observe
-	// it is a no-op.
-	defer probeDone()
 	if err := req.validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
@@ -673,13 +655,9 @@ func (s *Server) acquire(ctx context.Context) (time.Duration, int, error) {
 	case s.slots <- struct{}{}:
 		wait := time.Since(start)
 		s.reg.Histogram("serve.queue_wait_ns").Observe(wait.Nanoseconds())
-		s.brk.observe(wait)
 		return wait, 0, nil
 	case <-timer.C:
 		s.reg.Counter("serve.rejected.queue_timeout").Inc()
-		// A queue timeout is the strongest overload signal there is; feed
-		// it to the breaker as a maximal wait so saturation trips it.
-		s.brk.observe(s.cfg.QueueTimeout)
 		return 0, http.StatusTooManyRequests, retryAfterError{
 			err:   fmt.Errorf("no worker slot within %s (server at -max-inflight)", s.cfg.QueueTimeout),
 			after: s.cfg.QueueTimeout,

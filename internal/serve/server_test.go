@@ -628,39 +628,6 @@ func TestFlightLeaderDeath(t *testing.T) {
 	}
 }
 
-// TestQueueTimeout: with the pool saturated by a distinct (uncoalescable
-// -with) rule, a second rule's request is rejected 429 within the queue
-// timeout.
-func TestQueueTimeout(t *testing.T) {
-	s := newTestServer(t, Config{MaxInflight: 1, QueueTimeout: 50 * time.Millisecond})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.solveGate = func(ctx context.Context, rule string) {
-		once.Do(func() { close(entered) })
-		select {
-		case <-release:
-		case <-ctx.Done():
-		}
-	}
-
-	go func() {
-		r := VerifyRequest{Files: testFiles(), Rule: "iadd_base"}
-		_, _, _ = s.verifyOne(context.Background(), &r)
-	}()
-	<-entered
-
-	r := VerifyRequest{Files: testFiles(), Rule: "rotr_broken"}
-	_, status, err := s.verifyOne(context.Background(), &r)
-	if err == nil || status != http.StatusTooManyRequests {
-		t.Fatalf("saturated pool: status %d err %v, want 429", status, err)
-	}
-	if got := s.Registry().Counter("serve.rejected.queue_timeout").Value(); got != 1 {
-		t.Fatalf("rejected.queue_timeout = %d, want 1", got)
-	}
-	close(release)
-}
-
 // TestBatch: a batch mixes good and bad items; bad items degrade to
 // per-item errors without failing the call.
 func TestBatch(t *testing.T) {

@@ -226,27 +226,23 @@ func TestCoalescedWaiterRequestID(t *testing.T) {
 	}
 }
 
-// TestShedPromotesFlight: a 429 shed by the open breaker is promoted
-// into the flight recorder with the shed cause — sheds are exactly the
-// requests operators want exemplars of.
+// TestShedPromotesFlight: a request the queue timeout sheds with 429 is
+// promoted into the flight recorder with the shed cause — sheds are
+// exactly the requests operators want exemplars of.
 func TestShedPromotesFlight(t *testing.T) {
 	tracer := obs.New()
 	tracer.SetRing(256)
 	s := newTestServer(t, Config{
-		MaxInflight:   2,
+		MaxInflight:   1,
+		QueueTimeout:  50 * time.Millisecond,
 		Tracer:        tracer,
-		ShedLatency:   10 * time.Millisecond,
 		FlightLatency: -1, // isolate the explicit shed cause
 	})
-	clk := &fakeClock{}
-	s.brk = newBreaker(10*time.Millisecond, 30*time.Second, clk.now)
-	for i := 0; i < breakerWindow; i++ {
-		s.brk.observe(time.Minute)
-	}
+	holdSlot(t, s)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp, _ := postVerifyWithID(t, ts.URL, "shed-req", &VerifyRequest{Files: testFiles(), Rule: "iadd_base"})
+	resp, _ := postVerifyWithID(t, ts.URL, "shed-req", &VerifyRequest{Files: testFiles(), Rule: "rotr_broken"})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
