@@ -245,6 +245,10 @@ type InstOutcome struct {
 	// Cached reports that this outcome was served from the result cache
 	// without solving.
 	Cached bool
+	// Key is the unit's vcache content fingerprint, under which its
+	// verdict is stored: empty for a unit with no type assignment, or
+	// when no cache is configured. ReplayRule takes these keys back.
+	Key string
 	// Escalations counts the timeout-escalation retries the unit consumed
 	// (0 = decided, or still timed out, at the base budget).
 	Escalations int
@@ -520,25 +524,8 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 			return io, nil
 		}
 	}
-	if cache != nil {
-		spC := sc.Start(obs.PhaseCacheProbe)
-		if key == "" {
-			key = v.fingerprint(preps)
-		}
-		e, st := cache.LookupBudget(key, v.Opts.Timeout, v.ladderMaxBudget())
-		spC.SetAttr(obs.Str("status", st.String()))
-		spC.End()
-		sc.Registry().Counter("vcache." + st.String()).Inc()
-		if st == vcache.Hit {
-			if err := applyEntry(e, io); err == nil {
-				return io, nil
-			}
-			// An undecodable entry degrades to a miss: fall through and
-			// re-solve (the fresh result overwrites it). Counted so cache
-			// degradation is observable (`crocus -stats`).
-			cache.NoteDecodeFailure()
-			sc.Registry().Counter("vcache.decode_failure").Inc()
-		}
+	if cache != nil && v.replayUnit(sc, key, preps, io) {
+		return io, nil
 	}
 
 	// Base attempt, then the timeout-escalation ladder: re-solve the
@@ -586,8 +573,69 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 	if cerr := ctx.Err(); cerr != nil {
 		return nil, cerr
 	}
-	v.recordOutcome(cache, key, rule, sig, io, budget, time.Since(start))
+	v.recordOutcome(cache, io.Key, rule, sig, io, budget, time.Since(start))
 	return io, nil
+}
+
+// replayUnit is the cache probe of one unit with assignments, in its
+// cache.probe span: it fingerprints preps unless the caller already has
+// the unit's key, records the key in io.Key, and looks it up under this
+// configuration's Timeout and the top of its escalation ladder. On a
+// hit it replays the stored entry into io and reports true. An
+// undecodable entry degrades to a miss: the caller re-solves and the
+// fresh result overwrites it, and the failure is counted so cache
+// degradation is observable (`crocus -stats`).
+func (v *Verifier) replayUnit(sc *obs.SpanContext, key string, preps []*prepared, io *InstOutcome) bool {
+	sp := sc.Start(obs.PhaseCacheProbe)
+	if key == "" {
+		key = v.fingerprint(preps)
+	}
+	io.Key = key
+	e, st := v.Opts.Cache.LookupBudget(key, v.Opts.Timeout, v.ladderMaxBudget())
+	sp.SetAttr(obs.Str("status", st.String()))
+	sp.End()
+	sc.Registry().Counter("vcache." + st.String()).Inc()
+	if st != vcache.Hit {
+		return false
+	}
+	if err := applyEntry(e, io); err != nil {
+		v.Opts.Cache.NoteDecodeFailure()
+		sc.Registry().Counter("vcache.decode_failure").Inc()
+		return false
+	}
+	return true
+}
+
+// ReplayRule answers rule from the result cache alone. keys holds the
+// vcache key of each of the rule's units in Sigs(rule) order, as the
+// InstOutcome.Key fields of a completed result of a verifier with the
+// same options record them, with "" for a unit that has no type
+// assignment. It runs no monomorphize, elaborate or fingerprint pass
+// and schedules nothing: each key is looked up under this verifier's
+// Timeout and ladder, exactly as verifyInstantiation's probe would
+// look it up. The result is what VerifyRuleContained returns when the
+// cache holds a hit for every unit, durations aside. ReplayRule returns
+// nil when a unit is not a hit or ctx is done; the caller then takes
+// the full path.
+func (v *Verifier) ReplayRule(ctx context.Context, rule *isle.Rule, keys []string) *RuleResult {
+	sigs := v.Sigs(rule)
+	if v.Opts.Cache == nil || len(keys) != len(sigs) || ctx.Err() != nil {
+		return nil
+	}
+	sc := obs.Get(obs.WithScope(ctx, rule.Name))
+	rr := &RuleResult{Rule: rule, Insts: make([]InstOutcome, len(sigs))}
+	for i, sig := range sigs {
+		start := time.Now()
+		io := &rr.Insts[i]
+		io.Sig = sig
+		if keys[i] == "" {
+			io.Outcome = OutcomeInapplicable
+		} else if !v.replayUnit(sc, keys[i], nil, io) {
+			return nil
+		}
+		io.Duration = time.Since(start)
+	}
+	return rr
 }
 
 // querier decides one query over a unit's builder. Verification passes

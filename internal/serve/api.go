@@ -18,13 +18,18 @@
 // Identical in-flight requests are coalesced: a request that asks for
 // the same program, rule and outcome-affecting options as one already
 // being solved waits for that flight instead of solving again
-// (singleflight semantics; the flight's result also lands in the shared
-// vcache, so later requests replay it without solving).
+// (singleflight semantics). The flight's result lands in the shared
+// vcache, and the daemon keeps the vcache key of each of the rule's
+// units under the flight key, so a later request that asks for the same
+// thing is replayed: its units are looked up straight from the vcache,
+// with no front-end pass, no flight and no worker slot. A unit that is
+// not a hit sends the request down the full path.
 //
 // Overload has one answer: a request that gets no worker slot within
 // the queue timeout is shed with 429 and a Retry-After header, and a
-// batch with any shed item is shed as a whole. The batch's finished
-// items are already in the vcache, so the client's retry replays them.
+// batch with any shed item is shed as a whole. A replay needs no slot,
+// so it is never shed; the batch's finished items are in the vcache,
+// so the client's retry replays them.
 //
 // On SIGTERM the daemon drains gracefully: it stops accepting work,
 // finishes or cancels in-flight requests within the drain timeout,

@@ -31,7 +31,10 @@ type flight struct {
 // are the request's other outcome-affecting options. Equal keys mean
 // identical input to the same deterministic pipeline, so one solve
 // serves every request with the key. deadline_ms only bounds how long a
-// request waits for its verdict, so it stays out.
+// request waits for its verdict, so it stays out. The replay index is
+// keyed on it too: it covers every input of the units' fingerprints
+// (program, rule, distinct, custom_vc, budget; core.EngineVersion is
+// fixed for the process) and of their lookup (timeout, ladder).
 func flightKey(prog string, timeout time.Duration, req *VerifyRequest) string {
 	return vcache.Fingerprint("serve-flight-2", []string{
 		prog,
@@ -41,15 +44,64 @@ func flightKey(prog string, timeout time.Duration, req *VerifyRequest) string {
 	})
 }
 
-// verifyRuleCoalesced solves the rule, deduplicating against identical
-// in-flight requests: the first request with a given flight key becomes
-// the leader, claims a worker-pool slot, and solves; the rest wait on
-// its result without consuming slots (so a storm of identical requests
-// costs one slot total). coalesced reports whether the verdict came from
-// another request's flight; queueWait is the slot wait (zero for
-// waiters); status is the HTTP status to write when err is non-nil (0
-// lets the caller map context errors).
+// replay answers a request whose flight key an earlier flight completed
+// straight from the vcache: core.Verifier.ReplayRule looks up the unit
+// keys that flight recorded, under the request's own timeout and ladder,
+// without a front-end pass, a flight, a worker slot or a scheduler hop.
+// A replay solves nothing, so it is never shed. It returns nil, and the
+// request takes the full path, when the key has no entry or a unit is
+// not a hit.
+func (s *Server) replay(ctx context.Context, key string, v *core.Verifier, rule *isle.Rule) *core.RuleResult {
+	s.mu.Lock()
+	keys, ok := s.unitKeys[key]
+	s.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	sp := obs.Start(ctx, obs.PhaseServeVerify, obs.Str("rule", rule.Name))
+	defer sp.End()
+	rr := v.ReplayRule(ctx, rule, keys)
+	if rr != nil {
+		s.reg.Counter("serve.replay.rules").Inc()
+	}
+	return rr
+}
+
+// remember stores the unit keys of a flight's complete result under its
+// flight key for replay, before the flight is unregistered, so a request
+// that arrives after the flight finds the keys. A result with a faulted
+// unit, or with a unit that has assignments but no key, is not stored.
+func (s *Server) remember(key string, rr *core.RuleResult) {
+	keys := make([]string, len(rr.Insts))
+	for i := range rr.Insts {
+		io := &rr.Insts[i]
+		if io.Outcome == core.OutcomeError || io.Assignments > 0 && io.Key == "" {
+			return
+		}
+		keys[i] = io.Key
+	}
+	s.mu.Lock()
+	if len(s.unitKeys) >= maxReplayKeys {
+		s.unitKeys = map[string][]string{}
+	}
+	s.unitKeys[key] = keys
+	s.mu.Unlock()
+}
+
+// verifyRuleCoalesced answers the rule by a replay when an earlier
+// flight with the key completed. Otherwise it solves the rule,
+// deduplicating against identical in-flight requests: the first request
+// with a given flight key becomes the leader, claims a worker-pool slot,
+// and solves; the rest wait on its result without consuming slots (so a
+// storm of identical requests costs one slot total). coalesced reports
+// whether the verdict came from another request's flight; queueWait is
+// the slot wait (zero for waiters and replays); status is the HTTP
+// status to write when err is non-nil (0 lets the caller map context
+// errors).
 func (s *Server) verifyRuleCoalesced(ctx context.Context, key string, v *core.Verifier, rule *isle.Rule) (rr *core.RuleResult, coalesced bool, queueWait time.Duration, status int, err error) {
+	if rr = s.replay(ctx, key, v, rule); rr != nil {
+		return rr, false, 0, 0, nil
+	}
 	for {
 		s.mu.Lock()
 		if f, exists := s.flights[key]; exists {
@@ -120,6 +172,7 @@ func (s *Server) runFlight(reqCtx context.Context, v *core.Verifier, rule *isle.
 	if f.rr == nil {
 		return nil, false, queueWait, 0, ctxErr(reqCtx, s)
 	}
+	s.remember(key, f.rr)
 	return f.rr, false, queueWait, 0, nil
 }
 

@@ -21,7 +21,10 @@ const diffBudget = 5_000_000
 // presence, same distinct-models verdict and the same SAT counters, per
 // instantiation. This is the
 // differential guarantee the CI serve-smoke job re-checks end-to-end
-// over HTTP.
+// over HTTP. Every request is then sent a second time: the reply must
+// come from a replay (no solve, one more serve.replay.rules), carry the
+// cached marker on every unit with assignments, and still match the
+// local verdict.
 func diffCorpus(t *testing.T, corpusName string, load func() (*isle.Program, error)) {
 	prog, err := load()
 	if err != nil {
@@ -38,6 +41,8 @@ func diffCorpus(t *testing.T, corpusName string, load func() (*isle.Program, err
 		QueueTimeout: 5 * time.Minute,
 	})
 	ctx := context.Background()
+	solves := s.Registry().Counter("serve.solve.rules")
+	replays := s.Registry().Counter("serve.replay.rules")
 
 	for _, rule := range prog.Rules {
 		rr, err := local.VerifyRuleContext(ctx, rule)
@@ -54,42 +59,65 @@ func diffCorpus(t *testing.T, corpusName string, load func() (*isle.Program, err
 		if err != nil {
 			t.Fatalf("server %s: status %d: %v", rule.Name, status, err)
 		}
-		sv := resp.Verdict
+		diffVerdict(t, rule.Name, resp.Verdict, rr)
 
-		if want := rr.Outcome().String(); sv.Outcome != want {
-			t.Errorf("%s: server outcome %s, local %s", rule.Name, sv.Outcome, want)
+		solved, replayed := solves.Value(), replays.Value()
+		resp, status, err = s.verifyOne(ctx, &req)
+		if err != nil {
+			t.Fatalf("server %s, second request: status %d: %v", rule.Name, status, err)
 		}
-		if len(sv.Insts) != len(rr.Insts) {
-			t.Errorf("%s: server %d insts, local %d", rule.Name, len(sv.Insts), len(rr.Insts))
-			continue
+		if got := solves.Value(); got != solved {
+			t.Errorf("%s: second request solved (serve.solve.rules %d -> %d)", rule.Name, solved, got)
 		}
-		for i, io := range rr.Insts {
-			iv := sv.Insts[i]
-			if iv.Outcome != io.Outcome.String() {
-				t.Errorf("%s inst %d: server outcome %s, local %s", rule.Name, i, iv.Outcome, io.Outcome)
+		if got := replays.Value(); got != replayed+1 {
+			t.Errorf("%s: serve.replay.rules %d -> %d, want one replay", rule.Name, replayed, got)
+		}
+		for i, iv := range resp.Verdict.Insts {
+			if iv.Assignments > 0 && !iv.Cached {
+				t.Errorf("%s inst %d: replayed unit not marked cached", rule.Name, i)
 			}
-			if (iv.Counterexample != nil) != (io.Counterexample != nil) {
-				t.Errorf("%s inst %d: counterexample presence differs (server %v, local %v)",
-					rule.Name, i, iv.Counterexample != nil, io.Counterexample != nil)
-			}
-			if iv.Counterexample != nil && io.Counterexample != nil &&
-				iv.Counterexample.Rendered != io.Counterexample.Rendered {
-				t.Errorf("%s inst %d: rendered counterexamples differ", rule.Name, i)
-			}
-			localSig := ""
-			if io.Sig != nil {
-				localSig = io.Sig.String()
-			}
-			if iv.Sig != localSig {
-				t.Errorf("%s inst %d: server sig %q, local %q", rule.Name, i, iv.Sig, localSig)
-			}
-			if (iv.DistinctInputs == nil) != (io.DistinctInputs == nil) ||
-				(iv.DistinctInputs != nil && *iv.DistinctInputs != *io.DistinctInputs) {
-				t.Errorf("%s inst %d: distinct-models verdict differs", rule.Name, i)
-			}
-			if iv.Stats != io.Stats {
-				t.Errorf("%s inst %d: server stats %+v, local %+v", rule.Name, i, iv.Stats, io.Stats)
-			}
+		}
+		diffVerdict(t, rule.Name+" (replay)", resp.Verdict, rr)
+	}
+}
+
+// diffVerdict compares a server verdict with the local result field by
+// field.
+func diffVerdict(t *testing.T, name string, sv RuleVerdict, rr *core.RuleResult) {
+	t.Helper()
+	if want := rr.Outcome().String(); sv.Outcome != want {
+		t.Errorf("%s: server outcome %s, local %s", name, sv.Outcome, want)
+	}
+	if len(sv.Insts) != len(rr.Insts) {
+		t.Errorf("%s: server %d insts, local %d", name, len(sv.Insts), len(rr.Insts))
+		return
+	}
+	for i, io := range rr.Insts {
+		iv := sv.Insts[i]
+		if iv.Outcome != io.Outcome.String() {
+			t.Errorf("%s inst %d: server outcome %s, local %s", name, i, iv.Outcome, io.Outcome)
+		}
+		if (iv.Counterexample != nil) != (io.Counterexample != nil) {
+			t.Errorf("%s inst %d: counterexample presence differs (server %v, local %v)",
+				name, i, iv.Counterexample != nil, io.Counterexample != nil)
+		}
+		if iv.Counterexample != nil && io.Counterexample != nil &&
+			iv.Counterexample.Rendered != io.Counterexample.Rendered {
+			t.Errorf("%s inst %d: rendered counterexamples differ", name, i)
+		}
+		localSig := ""
+		if io.Sig != nil {
+			localSig = io.Sig.String()
+		}
+		if iv.Sig != localSig {
+			t.Errorf("%s inst %d: server sig %q, local %q", name, i, iv.Sig, localSig)
+		}
+		if (iv.DistinctInputs == nil) != (io.DistinctInputs == nil) ||
+			(iv.DistinctInputs != nil && *iv.DistinctInputs != *io.DistinctInputs) {
+			t.Errorf("%s inst %d: distinct-models verdict differs", name, i)
+		}
+		if iv.Stats != io.Stats {
+			t.Errorf("%s inst %d: server stats %+v, local %+v", name, i, iv.Stats, io.Stats)
 		}
 	}
 }

@@ -41,7 +41,8 @@ type Config struct {
 	// MaxInflight bounds concurrently solving requests and sizes the
 	// shared work-stealing pool their verification units run on —
 	// admission and unit scheduling share one queue. Further requests
-	// queue. 0 means runtime.NumCPU().
+	// queue; a replay from the vcache takes no slot. 0 means
+	// runtime.NumCPU().
 	MaxInflight int
 
 	// QueueTimeout bounds how long a request waits for a worker slot
@@ -95,6 +96,12 @@ const maxRequestBytes = 32 << 20
 // against an adversarial stream of distinct sources.
 const maxParsedPrograms = 128
 
+// maxReplayKeys bounds the replay index the same way: the resident
+// corpora have 118 rules, so only a stream of distinct inline programs
+// or options fills it, and a reset costs each flight key one more full
+// pass.
+const maxReplayKeys = 4096
+
 var errDraining = errors.New("server is draining")
 
 // Server is the resident verification daemon. Create with New, expose
@@ -128,6 +135,11 @@ type Server struct {
 	mu      sync.Mutex
 	flights map[string]*flight
 	parsed  map[string]*isle.Program
+	// unitKeys is the replay index: flight key → the vcache key of each
+	// of the rule's units, in Sigs order, from a completed flight. It
+	// holds fingerprints, never verdicts; the vcache stays the one
+	// record of outcomes.
+	unitKeys map[string][]string
 
 	httpSrv *http.Server
 
@@ -215,6 +227,7 @@ func New(cfg Config) (*Server, error) {
 		pool:       sched.NewPool(cfg.MaxInflight, reg),
 		flights:    map[string]*flight{},
 		parsed:     map[string]*isle.Program{},
+		unitKeys:   map[string][]string{},
 	}
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	return s, nil
@@ -549,8 +562,8 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // verifyOne runs one verification request end to end: admission, program
-// resolution, queueing, coalesced solve, wire conversion. On error it
-// returns the HTTP status the caller should write.
+// resolution, replay or queueing and coalesced solve, wire conversion.
+// On error it returns the HTTP status the caller should write.
 func (s *Server) verifyOne(ctx context.Context, req *VerifyRequest) (*VerifyResponse, int, error) {
 	start := time.Now()
 	s.noteWatermarks()
