@@ -7,8 +7,7 @@ package core_test
 // Pinning them catches two distinct regressions: a soundness bug that
 // flips a decided verdict, and a solver/encoding regression that pushes
 // previously-decided units back over the budget (the timeout count is
-// the acceptance metric the inprocessing + structural-hashing work
-// moves).
+// the acceptance metric structural hashing moves).
 //
 // If an intentional engine change shifts these numbers, re-derive them
 // with the sweep below and update the pins in the same commit — the
@@ -80,16 +79,14 @@ func testBudgetedOutcomes(t *testing.T, load func() (*isle.Program, error), want
 		}
 	}
 
-	// The same sweep with inprocessing and structural hashing disabled
-	// must agree on every decided verdict: the knobs tune solver effort,
-	// never meaning. Budget-boundary units may legitimately flip between
-	// decided and timeout (the encodings differ, so the same budget buys
-	// a different amount of search), so timeout is compatible with
-	// anything.
+	// The same sweep with structural hashing disabled must agree on
+	// every decided verdict: the knob tunes solver effort, never meaning.
+	// Budget-boundary units may legitimately flip between decided and
+	// timeout (the encodings differ, so the same budget buys a different
+	// amount of search), so timeout is compatible with anything.
 	_, plain, _ := sweepOutcomes(t, prog, core.Options{
 		PropagationBudget: regressBudget,
 		Parallelism:       4,
-		NoInprocess:       true,
 		NoStructHash:      true,
 	})
 	if len(plain) != len(pinned) {
@@ -186,12 +183,10 @@ func TestReduceDBSearchX64(t *testing.T) {
 		"success":      63,
 		"timeout":      2,
 	}, core.SolverStats{
-		Propagations: 1140194,
-		Conflicts:    45043,
-		Decisions:    149219,
-		Restarts:     153,
-		ElimVars:     692,
-		Subsumed:     275,
+		Propagations: 1196523,
+		Conflicts:    46506,
+		Decisions:    130209,
+		Restarts:     157,
 	})
 }
 
@@ -215,12 +210,10 @@ func TestReduceDBSearchAmodeCVE(t *testing.T) {
 		"success":      63,
 		"timeout":      3,
 	}, core.SolverStats{
-		Propagations: 1593486,
-		Conflicts:    60629,
-		Decisions:    206457,
+		Propagations: 1649773,
+		Conflicts:    60319,
+		Decisions:    175336,
 		Restarts:     205,
-		ElimVars:     1161,
-		Subsumed:     418,
 	})
 }
 
@@ -240,11 +233,10 @@ func TestReduceDBSearchAarch64(t *testing.T) {
 		"success":      256,
 		"timeout":      17,
 	}, core.SolverStats{
-		Propagations: 7985284,
-		Conflicts:    36122,
-		Decisions:    299328,
-		Restarts:     180,
-		ElimVars:     302,
+		Propagations: 7983623,
+		Conflicts:    35569,
+		Decisions:    298457,
+		Restarts:     177,
 	})
 	got := slices.Clone(prof.TimeoutRules)
 	want := []string{"urem_fits32", "srem_fits32", "udiv_fits32", "udiv_const_fits32",

@@ -15,7 +15,7 @@ import (
 // solver, bit-blaster, elaborator, or verification-condition shape
 // changes in a way that could alter verdicts: old cache entries then stop
 // matching and are re-solved rather than trusted.
-const EngineVersion = "crocus-engine-4"
+const EngineVersion = "crocus-engine-5"
 
 // prepared holds one monomorphized assignment's elaborated verification
 // conditions, ready both for fingerprinting and for solving: the Eq. 1
@@ -120,8 +120,8 @@ func (p *prepared) canonical() string {
 // is independent of assignment enumeration order.
 func (v *Verifier) fingerprint(preps []*prepared) string {
 	sections := make([]string, 0, len(preps)+1)
-	sections = append(sections, fmt.Sprintf("opts distinct=%v budget=%d noip=%v nosh=%v",
-		v.Opts.DistinctModels, v.Opts.PropagationBudget, v.Opts.NoInprocess, v.Opts.NoStructHash))
+	sections = append(sections, fmt.Sprintf("opts distinct=%v budget=%d nosh=%v",
+		v.Opts.DistinctModels, v.Opts.PropagationBudget, v.Opts.NoStructHash))
 	mats := make([]string, len(preps))
 	for i, p := range preps {
 		mats[i] = p.canonical()

@@ -33,8 +33,8 @@ type RuleHardness struct {
 	Cached       int `json:"cached,omitempty"`
 	Skipped      int `json:"skipped,omitempty"`
 
-	// SolverStats is the SAT search and inprocessing work summed over
-	// the rule's queries.
+	// SolverStats is the SAT search and structural-hashing work summed
+	// over the rule's queries.
 	SolverStats
 
 	// Escalations is the total timeout-ladder retries the rule consumed.

@@ -16,7 +16,7 @@ func TestHardnessProfileJSONFile(t *testing.T) {
 	var p HardnessProfile
 	p.AddRule("slow", []InstOutcome{
 		{Outcome: OutcomeTimeout, Stats: SolverStats{Propagations: 5, Conflicts: 2, Decisions: 3, Restarts: 1, Queries: 1}},
-		{Outcome: OutcomeSuccess, Stats: SolverStats{Propagations: 4, Queries: 2, ElimVars: 6}, Escalations: 1},
+		{Outcome: OutcomeSuccess, Stats: SolverStats{Propagations: 4, Queries: 2}, Escalations: 1},
 	})
 	p.AddRule("fast", []InstOutcome{{Outcome: OutcomeSuccess, Stats: SolverStats{Queries: 1}}})
 	p.Finalize()
@@ -43,7 +43,7 @@ func TestHardnessProfileJSONFile(t *testing.T) {
 	want := []map[string]any{
 		{"rule": "slow", "wall_ns": 0.0, "insts": 2.0, "success": 1.0, "timeout": 1.0,
 			"propagations": 9.0, "conflicts": 2.0, "decisions": 3.0, "restarts": 1.0, "queries": 3.0,
-			"elim_vars": 6.0, "escalations": 1.0},
+			"escalations": 1.0},
 		{"rule": "fast", "wall_ns": 0.0, "insts": 1.0, "success": 1.0,
 			"propagations": 0.0, "conflicts": 0.0, "decisions": 0.0, "queries": 1.0},
 	}

@@ -113,15 +113,9 @@ type Options struct {
 	// and unit scheduling share a single queue. The pool's lifetime
 	// belongs to the caller.
 	Scheduler *sched.Pool
-	// NoInprocess disables CDCL inprocessing (bounded variable
-	// elimination, subsumption/self-subsuming resolution, vivification
-	// between restarts) in the SAT solver. Verdicts must be identical
-	// with it on or off; the knob exists for A/B diagnosis and the
-	// differential matrix.
-	NoInprocess bool
 	// NoStructHash disables structural hashing (gate-level node sharing)
-	// in the bit-blaster. Same contract: verdicts never change, clause
-	// and variable counts do.
+	// in the bit-blaster. Verdicts never change; clause and variable
+	// counts do.
 	NoStructHash bool
 	// ShardIndex/ShardCount enable sharded multi-process sweeps: when
 	// ShardCount > 1, a verification unit is solved only if its vcache
@@ -177,13 +171,8 @@ type SolverStats struct {
 	Restarts int64 `json:"restarts,omitempty"`
 	// Queries is the number of SMT queries issued.
 	Queries int64 `json:"queries"`
-	// Inprocessing / structural-hashing work across the unit's queries:
-	// variables removed by bounded variable elimination, clauses deleted
-	// by subsumption, clauses shortened by vivification, and gate
-	// allocations avoided by structural hashing.
-	ElimVars         int64 `json:"elim_vars,omitempty"`
-	Subsumed         int64 `json:"subsumed,omitempty"`
-	Vivified         int64 `json:"vivified,omitempty"`
+	// StructHashMerged counts the gate allocations structural hashing
+	// avoided across the unit's queries.
 	StructHashMerged int64 `json:"structhash_merged,omitempty"`
 }
 
@@ -194,9 +183,6 @@ func (s *SolverStats) Add(other SolverStats) {
 	s.Decisions += other.Decisions
 	s.Restarts += other.Restarts
 	s.Queries += other.Queries
-	s.ElimVars += other.ElimVars
-	s.Subsumed += other.Subsumed
-	s.Vivified += other.Vivified
 	s.StructHashMerged += other.StructHashMerged
 }
 
@@ -206,9 +192,6 @@ func (s *SolverStats) addResult(r smt.Result) {
 	s.Decisions += r.Decisions
 	s.Restarts += r.Restarts
 	s.Queries++
-	s.ElimVars += r.ElimVars
-	s.Subsumed += r.Subsumed
-	s.Vivified += r.Vivified
 	s.StructHashMerged += r.StructHashMerged
 }
 
@@ -216,10 +199,6 @@ func (s *SolverStats) addResult(r smt.Result) {
 func (s SolverStats) String() string {
 	out := fmt.Sprintf("props=%d conflicts=%d decisions=%d queries=%d",
 		s.Propagations, s.Conflicts, s.Decisions, s.Queries)
-	if s.ElimVars != 0 || s.Subsumed != 0 || s.Vivified != 0 {
-		out += fmt.Sprintf(" elim=%d subsumed=%d vivified=%d",
-			s.ElimVars, s.Subsumed, s.Vivified)
-	}
 	if s.StructHashMerged != 0 {
 		out += fmt.Sprintf(" merged=%d", s.StructHashMerged)
 	}
@@ -405,7 +384,6 @@ func (v *Verifier) VerifyAllContext(ctx context.Context) ([]*RuleResult, error) 
 func (v *Verifier) solverConfig() smt.Config {
 	cfg := smt.Config{
 		PropagationBudget: v.Opts.PropagationBudget,
-		NoInprocess:       v.Opts.NoInprocess,
 		NoStructHash:      v.Opts.NoStructHash,
 	}
 	if v.Opts.Timeout > 0 {
@@ -423,7 +401,6 @@ func (v *Verifier) unitConfig(ctx context.Context, budget int64) smt.Config {
 	cfg := smt.Config{
 		Ctx:               ctx,
 		PropagationBudget: budget,
-		NoInprocess:       v.Opts.NoInprocess,
 		NoStructHash:      v.Opts.NoStructHash,
 	}
 	if v.Opts.Timeout > 0 {

@@ -8,6 +8,8 @@ import (
 )
 
 // PipeConfig is one cell of the pipeline configuration matrix.
+// Structural hashing stays on in every cell: it changes the encoding,
+// not the pipeline, and has its own fuzz target (FuzzStructHash).
 type PipeConfig struct {
 	// Session shares one persistent smt.Session across the whole batch
 	// (the incremental path core.Verifier uses per rule). False solves
@@ -15,17 +17,9 @@ type PipeConfig struct {
 	Session    bool
 	NoSimplify bool
 	NoSolveEqs bool
-	// Inprocess turns CDCL inprocessing on in test mode (a round at
-	// every Solve entry and restart — far more aggressive than the
-	// production conflict-interval schedule, so elimination, subsumption,
-	// and vivification all fire even on the small queries the generator
-	// produces). False disables inprocessing entirely. Structural
-	// hashing stays on in every cell: it changes the encoding, not the
-	// pipeline, and has its own fuzz target (FuzzStructHash).
-	Inprocess bool
 }
 
-// Name renders the configuration compactly, e.g. "session+simp+eqs+ip".
+// Name renders the configuration compactly, e.g. "session+simp-eqs".
 func (c PipeConfig) Name() string {
 	s := "fresh"
 	if c.Session {
@@ -41,42 +35,24 @@ func (c PipeConfig) Name() string {
 	} else {
 		s += "+eqs"
 	}
-	if c.Inprocess {
-		s += "+ip"
-	} else {
-		s += "-ip"
-	}
 	return s
 }
 
-// smtConfig lowers the cell to a solver configuration. Inprocessing runs
-// in test mode (negative interval): maximal rounds, so the differential
-// matrix actually exercises elimination/subsumption/vivification on
-// every query rather than never reaching the conflict threshold.
+// smtConfig lowers the cell to a solver configuration.
 func (c PipeConfig) smtConfig() smt.Config {
-	cfg := smt.Config{NoSimplify: c.NoSimplify, NoSolveEqs: c.NoSolveEqs}
-	if c.Inprocess {
-		cfg.InprocessInterval = -1
-	} else {
-		cfg.NoInprocess = true
-	}
-	return cfg
+	return smt.Config{NoSimplify: c.NoSimplify, NoSolveEqs: c.NoSolveEqs}
 }
 
-// Matrix returns the full 16-cell configuration matrix: {fresh, session}
-// × {simplify on/off} × {solveEqs on/off} × {inprocessing off/aggressive}.
-// Every cell must decide every query identically; the passes are claimed
-// to be equivalences, inprocessing is claimed to be satisfiability- and
-// model-preserving, and the session's learned state is claimed to be
-// query-independent.
+// Matrix returns the full 8-cell configuration matrix: {fresh, session}
+// × {simplify on/off} × {solveEqs on/off}. Every cell must decide every
+// query identically; the passes are claimed to be equivalences, and the
+// session's learned state is claimed to be query-independent.
 func Matrix() []PipeConfig {
 	var out []PipeConfig
 	for _, session := range []bool{false, true} {
 		for _, nosimp := range []bool{false, true} {
 			for _, noeqs := range []bool{false, true} {
-				for _, ip := range []bool{false, true} {
-					out = append(out, PipeConfig{Session: session, NoSimplify: nosimp, NoSolveEqs: noeqs, Inprocess: ip})
-				}
+				out = append(out, PipeConfig{Session: session, NoSimplify: nosimp, NoSolveEqs: noeqs})
 			}
 		}
 	}

@@ -93,9 +93,9 @@ func runMatrix(t *testing.T, n int, seed int64, defHeavy bool) {
 }
 
 // TestDiffMatrix is the main differential driver: seeded random queries
-// in the verifier's QF_BV+Int fragment, each solved under all sixteen
+// in the verifier's QF_BV+Int fragment, each solved under all eight
 // pipeline configurations (fresh/session × simplify on/off × solveEqs
-// on/off × inprocessing off/aggressive), with model validation against
+// on/off), with model validation against
 // the big-integer oracle and brute-force ground truth at small widths.
 // Run it alone with
 //

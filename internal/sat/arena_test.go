@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -59,33 +60,48 @@ func liveLits(s *Solver) int {
 	return n
 }
 
-// TestArenaCompaction drives random 3-SAT instances near the threshold
-// with a tiny learned-clause limit and inprocessing at every restart, so
-// reduceDB and the rounds free literals until the arena compacts. Across
-// budgeted solves the arena must stay within twice its live literals; a
-// forced compaction must move every live clause's literals without
-// changing them; and every answer, before and after, must match brute
-// force.
+// compactChecked forces a compaction and checks that it leaves exactly
+// the live literals in the arena and every clause's literals unchanged.
+func compactChecked(t *testing.T, s *Solver, name string) {
+	t.Helper()
+	shadow := make([][]Lit, len(s.clauses))
+	for i := range s.clauses {
+		shadow[i] = slices.Clone(s.lits(&s.clauses[i]))
+	}
+	s.compact()
+	if live := liveLits(s); len(s.arena) != live || s.garbage != 0 {
+		t.Fatalf("%s: compacted arena holds %d literals (%d garbage) for %d live ones", name, len(s.arena), s.garbage, live)
+	}
+	for i := range s.clauses {
+		if got := s.lits(&s.clauses[i]); !slices.Equal(got, shadow[i]) {
+			t.Fatalf("%s: clause %d was %v before compaction, %v after", name, i, shadow[i], got)
+		}
+	}
+}
+
+// TestArenaCompaction drives pigeonhole instances with a tiny
+// learned-clause limit through budgeted solves, so reduceDB frees
+// literals until the arena compacts. After every solve the arena must
+// hold at most twice its live literals, and whenever it holds garbage a
+// forced compaction must move every clause's literals without changing
+// them. Every answer, budgeted and then unbudgeted, must be right:
+// PHP(n+1,n) is Unsat, and PHP(n,n) is Sat with a model that satisfies
+// its clauses.
 func TestArenaCompaction(t *testing.T) {
-	r := rand.New(rand.NewSource(4701))
-	const nv, nc = 18, 77
 	compactions, forced := 0, 0
-	for iter := 0; iter < 30; iter++ {
+	for _, tc := range []struct {
+		pigeons, holes int
+		want           Status
+	}{
+		{7, 6, Unsat},
+		{8, 7, Unsat},
+		{6, 6, Sat},
+		{8, 8, Sat},
+	} {
+		name := fmt.Sprintf("PHP(%d,%d)", tc.pigeons, tc.holes)
 		s := New()
-		aggressive(s)
 		s.maxLearn = 10
-		for i := 0; i < nv; i++ {
-			s.NewVar()
-		}
-		cnf := make([][]Lit, nc)
-		for i := range cnf {
-			cnf[i] = make([]Lit, 3)
-			for j := range cnf[i] {
-				cnf[i][j] = MkLit(Var(r.Intn(nv)), r.Intn(2) == 1)
-			}
-			s.AddClause(cnf[i]...)
-		}
-		want := bruteForce(nv, cnf)
+		cnf := pigeonhole(s, tc.pigeons, tc.holes)
 
 		s.SetBudget(300)
 		got := Unknown
@@ -97,36 +113,23 @@ func TestArenaCompaction(t *testing.T) {
 				compactions++
 			}
 			if live := liveLits(s); len(s.arena) > 2*live {
-				t.Fatalf("iter %d: arena holds %d literals for %d live ones", iter, len(s.arena), live)
+				t.Fatalf("%s: arena holds %d literals for %d live ones", name, len(s.arena), live)
+			}
+			if s.garbage > 0 {
+				forced++
+				compactChecked(t, s, name)
 			}
 		}
-		if (got == Sat) != want {
-			t.Fatalf("iter %d: Solve = %v, brute force sat = %v", iter, got, want)
+		if got != tc.want {
+			t.Fatalf("%s: Solve = %v, want %v", name, got, tc.want)
 		}
 		if got == Sat {
 			checkModel(t, s, cnf)
 		}
 
-		shadow := make([][]Lit, len(s.clauses))
-		for i := range s.clauses {
-			shadow[i] = slices.Clone(s.lits(&s.clauses[i]))
-		}
-		if s.garbage > 0 {
-			forced++
-		}
-		s.compact()
-		if live := liveLits(s); len(s.arena) != live || s.garbage != 0 {
-			t.Fatalf("iter %d: compacted arena holds %d literals (%d garbage) for %d live ones", iter, len(s.arena), s.garbage, live)
-		}
-		for i := range s.clauses {
-			if got := s.lits(&s.clauses[i]); !slices.Equal(got, shadow[i]) {
-				t.Fatalf("iter %d: clause %d was %v before compaction, %v after", iter, i, shadow[i], got)
-			}
-		}
-
 		s.SetBudget(0)
-		if got = s.Solve(); (got == Sat) != want {
-			t.Fatalf("iter %d: after compaction Solve = %v, brute force sat = %v", iter, got, want)
+		if got = s.Solve(); got != tc.want {
+			t.Fatalf("%s: unbudgeted Solve = %v, want %v", name, got, tc.want)
 		}
 		if got == Sat {
 			checkModel(t, s, cnf)

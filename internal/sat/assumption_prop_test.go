@@ -2,12 +2,14 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// Randomized property tests for the assumption plumbing, complementing
-// the hand-crafted instances in incremental_test.go: the invariants must
-// hold on arbitrary CNF, not just the shapes we thought of.
+// Randomized property tests for the incremental and assumption
+// plumbing, complementing the hand-crafted instances in
+// incremental_test.go: the invariants must hold on arbitrary CNF, not
+// just the shapes we thought of.
 
 // randCNF adds a random 3-CNF instance over nv fresh variables and
 // returns the clauses (as literal slices) plus the first new variable.
@@ -46,6 +48,93 @@ func satisfies(s *Solver, clauses [][]Lit) bool {
 		}
 	}
 	return true
+}
+
+// bruteSatUnder is bruteForce with assumption literals conjoined.
+func bruteSatUnder(clauses [][]Lit, nv int, assumps []Lit) bool {
+	all := clauses
+	for _, a := range assumps {
+		all = append(all[:len(all):len(all)], []Lit{a})
+	}
+	return bruteForce(nv, all)
+}
+
+// TestIncrementalAgainstBruteForce: interleaved AddClause/Solve
+// sequences, the shape the SMT session produces, match exhaustive
+// enumeration at every step, and every Sat model satisfies all the
+// clauses added so far.
+func TestIncrementalAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(4402))
+	for iter := 0; iter < 150; iter++ {
+		s := New()
+		nv := 4 + r.Intn(8)
+		all, _ := randCNF(s, r, nv, 1+r.Intn(2*nv))
+		for step := 0; step < 4; step++ {
+			want := bruteForce(nv, all)
+			got := s.Solve()
+			if (got == Sat) != want || got == Unknown {
+				t.Fatalf("iter %d step %d: Solve = %v, brute = %v", iter, step, got, want)
+			}
+			if got == Sat && !satisfies(s, all) {
+				t.Fatalf("iter %d step %d: model violates the clauses", iter, step)
+			}
+			if !want {
+				break
+			}
+			// Grow the instance over the same variables.
+			n := 1 + r.Intn(3)
+			lits := make([]Lit, 0, n)
+			for j := 0; j < n; j++ {
+				lits = append(lits, MkLit(Var(r.Intn(nv)), r.Intn(2) == 0))
+			}
+			all = append(all, lits)
+			s.AddClause(lits...)
+		}
+	}
+}
+
+// TestAssumptionsAgainstBruteForce: several assumption solves on one
+// solver match enumeration under the assumptions, every Sat model
+// satisfies the clauses and the assumptions, and every FinalConflict is
+// a subset of the assumptions.
+func TestAssumptionsAgainstBruteForce(t *testing.T) {
+	r := rand.New(rand.NewSource(4403))
+	for iter := 0; iter < 150; iter++ {
+		s := New()
+		nv := 4 + r.Intn(8)
+		clauses, _ := randCNF(s, r, nv, 1+r.Intn(3*nv))
+		for q := 0; q < 3; q++ {
+			na := r.Intn(3)
+			assumps := make([]Lit, 0, na)
+			for j := 0; j < na; j++ {
+				assumps = append(assumps, MkLit(Var(r.Intn(nv)), r.Intn(2) == 0))
+			}
+			want := bruteSatUnder(clauses, nv, assumps)
+			got := s.Solve(assumps...)
+			if (got == Sat) != want || got == Unknown {
+				t.Fatalf("iter %d q %d assumps %v: Solve = %v, brute = %v",
+					iter, q, assumps, got, want)
+			}
+			if got == Sat {
+				if !satisfies(s, clauses) {
+					t.Fatalf("iter %d q %d: model violates the clauses", iter, q)
+				}
+				for _, a := range assumps {
+					if s.Value(a.Var()) == a.Neg() {
+						t.Fatalf("iter %d q %d: model violates assumption %v", iter, q, a)
+					}
+				}
+			}
+			if got == Unsat {
+				for _, c := range s.FinalConflict() {
+					if !slices.Contains(assumps, c) {
+						t.Fatalf("iter %d q %d: core literal %v not among assumptions %v",
+							iter, q, c, assumps)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestFinalConflictSubsetRandom: across random instances and random

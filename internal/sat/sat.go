@@ -114,8 +114,8 @@ const nilReason clauseRef = -1
 
 // clause is a clause header. Its literals are arena[start:start+size];
 // the header holds no pointer, so the GC never scans the clause set.
-// Shrinking a clause in place lowers size and deleting it sets size to 0;
-// both leave the freed literals in the arena as garbage until compact.
+// Deleting a clause sets size to 0 and leaves its literals in the arena
+// as garbage until compact.
 type clause struct {
 	start    int32
 	size     int32
@@ -179,25 +179,11 @@ type Solver struct {
 
 	ok bool // false once UNSAT at level 0
 
-	// Scratch buffers, reused so that search allocates nothing per
-	// conflict. newClause copies out of them into the arena. AddClause
-	// and addRestoredClause each own one because AddClause may restore
-	// eliminated variables.
-	learntTmp  []Lit
-	addTmp     []Lit
-	restoreTmp []Lit
-
-	// Inprocessing state (inprocess.go).
-	inprocOn        bool
-	inprocInterval  int64
-	lastInprocConfl int64
-	inproc          InprocessStats
-	frozen          []bool // per variable: never eliminate
-	eliminated      []bool // per variable: removed by BVE, restorable
-	extStack        []extEntry
-	extIdx          map[Var][]int // eliminated var -> its extStack entries
-	model           []lbool       // reconstructed model; Value prefers it when set
-	vivCursor       int64         // persistent vivification scan position
+	// Scratch buffers for analyze and AddClause, reused so that search
+	// allocates nothing per conflict. newClause copies out of them into
+	// the arena.
+	learntTmp []Lit
+	addTmp    []Lit
 }
 
 // New returns an empty solver.
@@ -207,7 +193,6 @@ func New() *Solver {
 		claInc:   1,
 		maxLearn: 4000,
 		ok:       true,
-		extIdx:   map[Var][]int{},
 	}
 	s.order = newVarHeap(&s.activity)
 	return s
@@ -264,8 +249,6 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true)
 	s.seen = append(s.seen, false)
 	s.watches = append(grow(s.watches, 2), nil, nil)
-	s.frozen = append(s.frozen, false)
-	s.eliminated = append(s.eliminated, false)
 	s.order.insert(v)
 	return v
 }
@@ -328,22 +311,10 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		return false
 	}
 	s.cancelUntil(0) // drop any model left over from a previous Solve
-	s.model = s.model[:0]
 	for _, l := range lits {
 		if int(l.Var()) >= s.NumVars() {
 			panic(ErrNoVar)
 		}
-	}
-	// A clause referencing a BVE-eliminated variable brings it back:
-	// its stored original clauses are re-added before the new constraint
-	// lands, so incremental clients never see eliminations.
-	for _, l := range lits {
-		if s.eliminated[l.Var()] {
-			s.restore(l.Var())
-		}
-	}
-	if !s.ok {
-		return false
 	}
 	// Simplify: drop false/duplicate literals, detect tautologies.
 	out := s.addTmp[:0]
@@ -786,9 +757,9 @@ func (s *Solver) detachClause(ref clauseRef) {
 }
 
 // collectGarbage compacts the arena once more than half of it is
-// garbage. It runs at the end of reduceDB and of an inprocessing round,
-// the only places clauses are deleted or shrunk, so the arena stays
-// within twice the live literals however long a solve runs.
+// garbage. It runs at the end of reduceDB, the only place clauses are
+// deleted, so the arena stays within twice the live literals however
+// long a solve runs.
 func (s *Solver) collectGarbage() {
 	if 2*s.garbage > len(s.arena) {
 		s.compact()
@@ -796,9 +767,9 @@ func (s *Solver) collectGarbage() {
 }
 
 // compact slides the live clauses' literals down over the garbage in
-// clause order. Clauses are appended in creation order and only ever
-// shrink in place, so each clause's literals move to a lower address or
-// stay put, and no clauseRef changes.
+// clause order. Clauses are appended in creation order and never grow,
+// so each clause's literals move to a lower address or stay put, and no
+// clauseRef changes.
 func (s *Solver) compact() {
 	n := int32(0)
 	for i := range s.clauses {
@@ -877,27 +848,9 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	s.model = s.model[:0]
-	// Assumptions over eliminated variables restore them first, exactly
-	// like AddClause: the stored clauses must be live before the search
-	// is allowed to constrain the variable.
-	for _, a := range assumptions {
-		if s.eliminated[a.Var()] {
-			s.restore(a.Var())
-		}
-	}
-	if !s.ok {
-		return Unsat
-	}
 	if s.pollInterrupt() {
 		// Canceled (or already past deadline) before any search work.
 		return Unknown
-	}
-	if s.shouldInprocess() {
-		s.inprocess(assumptions)
-		if !s.ok {
-			return Unsat
-		}
 	}
 
 	restartIdx := int64(1)
@@ -942,18 +895,8 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.restarts++
 			conflictBudget = luby(restartIdx) * 128
 			conflictsThisRestart = 0
-			if s.shouldInprocess() {
-				// Inprocessing needs the root level; the assumption
-				// prefix is re-placed by the loop below afterwards.
-				s.cancelUntil(0)
-				s.inprocess(assumptions)
-				if !s.ok {
-					return Unsat
-				}
-			} else {
-				s.cancelUntil(len(assumptions))
-			}
 			// Levels up to assumptions retained; re-propagate.
+			s.cancelUntil(len(assumptions))
 			continue
 		}
 
@@ -989,18 +932,13 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		var next Var = -1
 		for !s.order.empty() {
 			v := s.order.removeMax()
-			if s.varValue(v) == lUndef && !s.eliminated[v] {
+			if s.varValue(v) == lUndef {
 				next = v
 				break
 			}
 		}
 		if next == -1 {
-			// All live variables assigned. Eliminated variables get their
-			// values from witness reconstruction over the extension stack.
-			if len(s.extStack) > 0 {
-				s.reconstructModel()
-			}
-			return Sat
+			return Sat // all variables assigned
 		}
 		s.decisions++
 		s.trailLim = append(s.trailLim, int32(len(s.trail)))
@@ -1010,14 +948,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 
 // Value returns the model value of v after a Sat result. Unassigned
 // variables (possible only for variables created after solving) read false.
-// When inprocessing has eliminated variables, the value comes from the
-// reconstructed model snapshot rather than the trail.
-func (s *Solver) Value(v Var) bool {
-	if int(v) < len(s.model) {
-		return s.model[v] == lTrue
-	}
-	return s.varValue(v) == lTrue
-}
+func (s *Solver) Value(v Var) bool { return s.varValue(v) == lTrue }
 
 // varHeap is an indexed max-heap ordered by activity.
 type varHeap struct {

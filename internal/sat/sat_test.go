@@ -66,8 +66,9 @@ func TestLitHelpers(t *testing.T) {
 	}
 }
 
-// pigeonhole encodes PHP(n+1, n): n+1 pigeons in n holes, classic UNSAT.
-func pigeonhole(s *Solver, pigeons, holes int) {
+// pigeonhole encodes PHP(pigeons, holes), unsatisfiable when there are
+// more pigeons than holes, and returns its clauses.
+func pigeonhole(s *Solver, pigeons, holes int) [][]Lit {
 	vars := make([][]Var, pigeons)
 	for p := range vars {
 		vars[p] = make([]Var, holes)
@@ -75,20 +76,25 @@ func pigeonhole(s *Solver, pigeons, holes int) {
 			vars[p][h] = s.NewVar()
 		}
 	}
+	var cnf [][]Lit
 	for p := 0; p < pigeons; p++ {
 		lits := make([]Lit, holes)
 		for h := 0; h < holes; h++ {
 			lits[h] = MkLit(vars[p][h], false)
 		}
-		s.AddClause(lits...)
+		cnf = append(cnf, lits)
 	}
 	for h := 0; h < holes; h++ {
 		for p1 := 0; p1 < pigeons; p1++ {
 			for p2 := p1 + 1; p2 < pigeons; p2++ {
-				s.AddClause(MkLit(vars[p1][h], true), MkLit(vars[p2][h], true))
+				cnf = append(cnf, []Lit{MkLit(vars[p1][h], true), MkLit(vars[p2][h], true)})
 			}
 		}
 	}
+	for _, cl := range cnf {
+		s.AddClause(cl...)
+	}
+	return cnf
 }
 
 func TestPigeonholeUnsat(t *testing.T) {

@@ -275,7 +275,6 @@ func TestVerifyRejectsEngineSwitches(t *testing.T) {
 	}
 	for _, tc := range []struct{ field, value string }{
 		{"fresh", "true"},
-		{"no_inprocess", "true"},
 		{"no_structhash", "true"},
 		{"propagation_budget", "-1"},
 		{"retry_budgets", "[100000,-1]"},

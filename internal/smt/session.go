@@ -90,9 +90,7 @@ func (ss *Session) Check(assertions []TermID, cfg Config) (Result, error) {
 	s.SetDeadline(cfg.Deadline)
 	s.SetBudget(cfg.PropagationBudget)
 	s.SetContext(cfg.Ctx)
-	s.SetInprocess(!cfg.NoInprocess, cfg.InprocessInterval)
 	ss.bl.noHash = cfg.NoStructHash
-	ipBefore := s.InprocessStats()
 	hitsBefore := ss.bl.gc.hits
 
 	sc := obs.Get(cfg.Ctx)
@@ -238,9 +236,6 @@ func (ss *Session) Check(assertions []TermID, cfg Config) (Result, error) {
 	}
 	firstNew := sat.Var(s.NumVars())
 	act := sat.MkLit(s.NewVar(), false)
-	// The activation literal is assumed now and asserted (negated) at
-	// retirement: inprocessing must never eliminate it in between.
-	s.Freeze(act.Var())
 	for _, u := range units {
 		l, err := ss.bl.blastBool(u)
 		if err != nil {
@@ -291,10 +286,6 @@ func (ss *Session) Check(assertions []TermID, cfg Config) (Result, error) {
 	}
 	res.Propagations, res.Conflicts, res.Decisions = s.LastStats()
 	res.Restarts = s.LastRestarts()
-	ipAfter := s.InprocessStats()
-	res.ElimVars = ipAfter.ElimVars - ipBefore.ElimVars
-	res.Subsumed = ipAfter.Subsumed - ipBefore.Subsumed
-	res.Vivified = ipAfter.Vivified - ipBefore.Vivified
 	res.StructHashMerged = ss.bl.gc.hits - hitsBefore
 	if sc != nil {
 		spS.SetAttr(
@@ -308,9 +299,6 @@ func (ss *Session) Check(assertions []TermID, cfg Config) (Result, error) {
 		reg.Counter("sat.conflicts").Add(res.Conflicts)
 		reg.Counter("sat.decisions").Add(res.Decisions)
 		reg.Counter("sat.restarts").Add(res.Restarts)
-		reg.Counter("sat.elim_vars").Add(res.ElimVars)
-		reg.Counter("sat.subsumed").Add(res.Subsumed)
-		reg.Counter("sat.vivified").Add(res.Vivified)
 		reg.Counter("structhash.merged").Add(res.StructHashMerged)
 		reg.Histogram("sat.query_propagations").Observe(res.Propagations)
 	}

@@ -90,11 +90,8 @@ type Result struct {
 	Conflicts    int64
 	Decisions    int64
 	Restarts     int64
-	// Inprocessing and structural-hashing work done during this query
-	// alone (per-call deltas of the session's cumulative counters).
-	ElimVars         int64
-	Subsumed         int64
-	Vivified         int64
+	// StructHashMerged counts the gate allocations structural hashing
+	// avoided during this query alone.
 	StructHashMerged int64
 }
 
@@ -118,20 +115,10 @@ type Config struct {
 	// orients and inlines definitional equalities). As with NoSimplify,
 	// this is a correctness cross-checking knob, not a tuning one.
 	NoSolveEqs bool
-	// NoInprocess disables CDCL inprocessing (bounded variable
-	// elimination, subsumption, vivification between restarts). Like the
-	// other No* knobs it must never change a verdict — the differential
-	// matrix runs every query with inprocessing on and off.
-	NoInprocess bool
 	// NoStructHash disables structural hashing in the bit-blaster (gate
 	// memoization across and within queries). Encodings stay
 	// semantically identical either way.
 	NoStructHash bool
-	// InprocessInterval sets the conflict distance between inprocessing
-	// rounds: 0 picks the solver default, a negative value runs a round
-	// at every Solve entry and restart (test mode — maximal coverage on
-	// small queries, far too aggressive for production).
-	InprocessInterval int64
 }
 
 // Check decides the conjunction of the given boolean assertions over the

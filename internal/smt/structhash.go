@@ -30,10 +30,7 @@ import "crocus/internal/sat"
 // The cache lives for the blaster's lifetime, i.e. for a session's
 // lifetime: sharing spans queries, which is the point. Gate-defining
 // clauses are global (not activation-guarded), so a cache hit in a later
-// query reuses both the literal and its semantics. If SAT inprocessing
-// eliminated a cached gate variable in the meantime, the solver's
-// restore-on-reuse path transparently revives its definition when the
-// literal reappears in a clause.
+// query reuses both the literal and its semantics.
 //
 // hashHits counts avoided gate allocations; the session surfaces it as
 // the structhash.merged counter. noHash disables lookup AND insertion

@@ -86,17 +86,13 @@ type SolverStats struct {
 	// Restarts counts CDCL restarts. Entries written before this field
 	// existed replay with 0 (omitempty both ways): stats are advisory
 	// metadata, never part of the fingerprint, so no engine-version bump.
-	// The same holds for the inprocessing and structural-hashing counters
-	// below.
+	// The same holds for StructHashMerged.
 	Restarts int64 `json:"r,omitempty"`
 	// Queries counts the SMT queries the unit issued (applicability,
 	// distinctness, equivalence, per assignment).
 	Queries int64 `json:"q,omitempty"`
-	// Inprocessing and structural-hashing work: variables eliminated,
-	// clauses subsumed, clauses vivified, gates merged.
-	ElimVars         int64 `json:"e,omitempty"`
-	Subsumed         int64 `json:"s,omitempty"`
-	Vivified         int64 `json:"v,omitempty"`
+	// StructHashMerged counts the gate allocations structural hashing
+	// avoided.
 	StructHashMerged int64 `json:"m,omitempty"`
 }
 

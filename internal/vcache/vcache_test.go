@@ -48,7 +48,7 @@ func TestPutLookupRoundtrip(t *testing.T) {
 		Assignments:    2,
 		DistinctInputs: &d,
 		Stats: SolverStats{Propagations: 10, Conflicts: 2, Decisions: 3, Restarts: 4, Queries: 5,
-			ElimVars: 6, Subsumed: 7, Vivified: 8, StructHashMerged: 9},
+			StructHashMerged: 9},
 		Cex: &Counterexample{
 			Inputs:   map[string]Value{"x": {Kind: 1, Width: 32, Bits: 7}},
 			LHS:      Value{Kind: 1, Width: 32, Bits: 7},
