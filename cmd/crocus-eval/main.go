@@ -28,6 +28,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -79,6 +80,21 @@ func main() {
 	logFormat := flag.String("log-format", "text", "diagnostic log format on stderr: text or json")
 	logLevel := flag.String("log-level", "info", "diagnostic log level: debug, info, warn, or error")
 	flag.Parse()
+
+	// An unknown -exp is refused before any work, like any other bad flag.
+	experiments := []string{"table1", "fig4", "coverage", "knownbugs", "newbugs"}
+	run := map[string]bool{}
+	switch {
+	case *exp == "all":
+		for _, e := range experiments {
+			run[e] = true
+		}
+	case slices.Contains(experiments, *exp):
+		run[*exp] = true
+	default:
+		fmt.Fprintf(os.Stderr, "crocus-eval: unknown -exp %q (want one of %s, all)\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(1)
+	}
 
 	logger := obs.NewLogger(os.Stderr, *logFormat, *logLevel)
 
@@ -147,15 +163,6 @@ func main() {
 		if err := tr.ExportChromeFile(path); err != nil {
 			logger.Warn("trace export failed", slog.String("file", path), slog.Any("err", err))
 		}
-	}
-
-	run := map[string]bool{}
-	if *exp == "all" {
-		for _, e := range []string{"table1", "fig4", "coverage", "knownbugs", "newbugs"} {
-			run[e] = true
-		}
-	} else {
-		run[*exp] = true
 	}
 
 	if run["table1"] {

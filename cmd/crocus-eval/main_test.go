@@ -70,3 +70,20 @@ func TestCacheDirOpenFailureDegradesGracefully(t *testing.T) {
 		t.Fatalf("report differs from a run without a cache:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestUnknownExperimentFails: an -exp that names no experiment is
+// refused with exit 1 and a message listing the valid names, instead of
+// running nothing and exiting 0.
+func TestUnknownExperimentFails(t *testing.T) {
+	out, errOut, code := runEval(t, "-exp", "tabel1")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	want := `crocus-eval: unknown -exp "tabel1" (want one of table1, fig4, coverage, knownbugs, newbugs, all)`
+	if !strings.Contains(errOut, want) {
+		t.Fatalf("stderr = %q, want it to contain %q", errOut, want)
+	}
+	if out != "" {
+		t.Fatalf("stdout is not empty:\n%s", out)
+	}
+}

@@ -6,8 +6,7 @@
 // Usage:
 //
 //	crocus [-timeout 5s] [-rule name] [-distinct] [-parallel N] [-stats]
-//	       [-cache-dir DIR]
-//	       [-shard i/n] [-cache-merge DIR,DIR...] [-faults SPEC]
+//	       [-cache-dir DIR] [-faults SPEC]
 //	       [-server URL] [-server-timeout D] [-server-retries N]
 //	       [-trace FILE] [-trace-jsonl FILE] [-metrics] [-pprof-addr ADDR]
 //	       [-corpus aarch64|x64|midend|bug:<id>] [file.isle ...]
@@ -28,11 +27,11 @@
 // benchmark is perfbench (bash perfbench/run.sh).
 //
 // With -server, the run is verified by the daemon, and a flag only a
-// local run reads (-parallel, -cache-dir, -shard, -trace,
-// -profile-rules, ...) is an error rather than silently ignored. An
-// attempt that stalls past -server-timeout is abandoned, and a failed
-// one (429, 5xx, connection error) is retried up to -server-retries
-// times, waiting at least the Retry-After a shedding daemon sends.
+// local run reads (-parallel, -cache-dir, -trace, -profile-rules, ...)
+// is an error rather than silently ignored. An attempt that stalls past
+// -server-timeout is abandoned, and a failed one (429, 5xx, connection
+// error) is retried up to -server-retries times, waiting at least the
+// Retry-After a shedding daemon sends.
 package main
 
 import (
@@ -78,27 +77,8 @@ func parseBudgets(base int64, s string) ([]int64, error) {
 	return out, nil
 }
 
-// parseShard parses the -shard value "i/n" into (index, count).
-// An empty value disables sharding (0, 0).
-func parseShard(s string) (int, int, error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	idxStr, cntStr, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/2)", s)
-	}
-	idx, err1 := strconv.Atoi(strings.TrimSpace(idxStr))
-	cnt, err2 := strconv.Atoi(strings.TrimSpace(cntStr))
-	if err1 != nil || err2 != nil || cnt < 1 || idx < 0 || idx >= cnt {
-		return 0, 0, fmt.Errorf("bad -shard %q (want i/n with 0 <= i < n)", s)
-	}
-	return idx, cnt, nil
-}
-
 // localOnlyFlags are the flags the -server client path never reads.
 var localOnlyFlags = map[string]bool{
-	"shard":         true,
 	"parallel":      true,
 	"cache-dir":     true,
 	"overlap":       true,
@@ -123,34 +103,6 @@ func checkClientFlags(fs *flag.FlagSet) error {
 	return err
 }
 
-// runCacheMerge is the -cache-merge mode: union the source stores into
-// the destination directory and report. Conflicting decided verdicts
-// (the same unit fingerprint with different outcomes) keep the
-// destination's entry, are listed on stderr, and fail the merge with
-// exit 1 — they indicate engine nondeterminism or store corruption.
-func runCacheMerge(dstDir, srcList string) int {
-	if dstDir == "" {
-		fmt.Fprintln(os.Stderr, "crocus: -cache-merge needs -cache-dir (the destination store)")
-		return 1
-	}
-	srcs := strings.Split(srcList, ",")
-	for i := range srcs {
-		srcs[i] = strings.TrimSpace(srcs[i])
-	}
-	stats, err := vcache.Merge(dstDir, srcs...)
-	if stats != nil {
-		fmt.Println(stats)
-		for _, c := range stats.Conflicts {
-			fmt.Fprintln(os.Stderr, "crocus: conflict:", c)
-		}
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crocus:", err)
-		return 1
-	}
-	return 0
-}
-
 // The command-line flags live at package level, so the tests see the
 // exact set main parses.
 var (
@@ -171,8 +123,6 @@ var (
 	metrics       = flag.Bool("metrics", false, "print the metrics registry and the per-rule phase-breakdown table after the run")
 	pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof and expvar metrics on this address (e.g. localhost:6060)")
 	server        = flag.String("server", "", "submit the run to a crocus-serve daemon at this base URL (e.g. http://localhost:8742) instead of verifying locally")
-	shard         = flag.String("shard", "", "verify only one shard of the corpus's verification units, as i/n (e.g. 0/2): units are partitioned by content fingerprint, so n processes with distinct i cover the corpus exactly once; combine with per-shard -cache-dir and -cache-merge")
-	cacheMerge    = flag.String("cache-merge", "", "merge mode: union the comma-separated source cache directories into -cache-dir (conflict-checked) and exit without verifying")
 	faults        = flag.String("faults", "", "arm deterministic fault injection: 'site=kind:prob[:dur],...[,seed=N]' with kinds error|panic|delay|corrupt|kill; overrides $"+faultinject.EnvVar)
 	serverTimeout = flag.Duration("server-timeout", 2*time.Minute, "per-attempt HTTP timeout for -server requests")
 	serverRetries = flag.Int("server-retries", 3, "retries after the first -server attempt on 429/5xx/connection errors (capped exponential backoff with jitter, honoring Retry-After; 0 disables)")
@@ -204,15 +154,6 @@ func main() {
 		// A zero/negative worker count means "use the machine", never
 		// "silently serialize".
 		*parallel = runtime.NumCPU()
-	}
-	shardIdx, shardCnt, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "crocus:", err)
-		os.Exit(1)
-	}
-
-	if *cacheMerge != "" {
-		os.Exit(runCacheMerge(*cacheDir, *cacheMerge))
 	}
 	ladder, err := parseBudgets(*budget, *retryBudgets)
 	if err != nil {
@@ -281,8 +222,6 @@ func main() {
 		Cache:             cache,
 		PropagationBudget: *budget,
 		RetryBudgets:      ladder,
-		ShardIndex:        shardIdx,
-		ShardCount:        shardCnt,
 	}
 	if *custom {
 		opts.Custom = crocus.CorpusCustomVCs()
@@ -355,10 +294,12 @@ func main() {
 		}
 		fmt.Printf("summary: %d rules — %s\n", counts.total, counts.String())
 	} else {
+		found := false
 		for _, r := range prog.Rules {
 			if r.Name != *ruleName {
 				continue
 			}
+			found = true
 			rr, err := v.VerifyRuleContext(ctx, r)
 			if err != nil {
 				if ctx.Err() != nil {
@@ -372,6 +313,11 @@ func main() {
 			v := serve.NewRuleVerdict(rr)
 			printVerdict(&v, *stats, &exit)
 			profiled = append(profiled, rr)
+		}
+		if !found {
+			// The daemon answers the same request with a 404.
+			fmt.Fprintf(os.Stderr, "crocus: rule %q not found\n", *ruleName)
+			exit = 1
 		}
 	}
 	if *profileRules != "" {

@@ -78,6 +78,22 @@ func TestCacheDirOpenFailureDegradesGracefully(t *testing.T) {
 	}
 }
 
+// TestUnknownRuleFails: a local -rule that names no rule of the corpus
+// is an error naming it, as the daemon's 404 is on the -server path,
+// not an empty run that exits 0.
+func TestUnknownRuleFails(t *testing.T) {
+	out, errOut, code := runCrocus(t, "-corpus", "midend", "-rule", "no_such_rule")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut, `crocus: rule "no_such_rule" not found`) {
+		t.Fatalf("stderr does not name the rule:\n%s", errOut)
+	}
+	if out != "" {
+		t.Fatalf("stdout is not empty:\n%s", out)
+	}
+}
+
 func TestParseBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		base    int64
@@ -142,7 +158,7 @@ func TestCheckClientFlags(t *testing.T) {
 		{[]string{"server", "corpus", "rule", "timeout", "distinct", "custom-vc", "stats",
 			"propagation-budget", "retry-budgets", "faults", "server-timeout",
 			"server-retries", "log-format", "log-level"}, ""},
-		{[]string{"shard"}, "-shard applies to local sweeps, not -server runs"},
+		{[]string{"parallel"}, "-parallel applies to local sweeps, not -server runs"},
 		// Visit walks the set flags in name order; the first one is named.
 		{[]string{"trace", "cache-dir"}, "-cache-dir applies to local sweeps, not -server runs"},
 	} {

@@ -19,7 +19,7 @@ func (o oneShot) Check(assertions []smt.TermID, cfg smt.Config) (smt.Result, err
 // monomorphize/elaborate/query sequence as VerifyInstantiation, but with
 // each query on a one-shot solver instead of the unit's session. It is
 // the reference for the session differential tests, so it bypasses the
-// result cache, sharding and the escalation ladder: a unit is decided at
+// result cache and the escalation ladder: a unit is decided at
 // Options.PropagationBudget alone.
 func (v *Verifier) VerifyInstantiationOneShot(rule *isle.Rule, sig *isle.Sig) (*InstOutcome, error) {
 	ra, assigns, err := v.monomorphize(rule, sig)

@@ -31,7 +31,6 @@ type RuleHardness struct {
 	Timeout      int `json:"timeout,omitempty"`
 	Error        int `json:"error,omitempty"`
 	Cached       int `json:"cached,omitempty"`
-	Skipped      int `json:"skipped,omitempty"`
 
 	// SolverStats is the SAT search and structural-hashing work summed
 	// over the rule's queries.
@@ -75,9 +74,6 @@ func (p *HardnessProfile) AddRule(name string, insts []InstOutcome) {
 		}
 		if io.Cached {
 			h.Cached++
-		}
-		if io.Skipped {
-			h.Skipped++
 		}
 		h.Escalations += io.Escalations
 		h.Add(io.Stats)

@@ -2,21 +2,18 @@ package core
 
 // Tests for the unit-scheduled sweep path: per-unit fault containment
 // when a panic strikes on whichever worker (owner or thief) executes the
-// unit, cancellation mid-sweep, an injected shared scheduler (the daemon
-// configuration), and the sharded multi-process workflow
-// (shard -> merge -> replay) proven equivalent to a single-process run.
+// unit, cancellation mid-sweep, and an injected shared scheduler (the
+// daemon configuration).
 
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
 
 	"crocus/internal/sched"
 	"crocus/internal/smt"
-	"crocus/internal/vcache"
 )
 
 // atomicPanicVC returns a custom VC whose Condition always panics, and
@@ -30,16 +27,6 @@ func atomicPanicVC() (*CustomVC, *atomic.Int64) {
 			panic("injected unit fault")
 		},
 	}, &calls
-}
-
-// totalUnits counts the verification units a sweep over v's program
-// expands to.
-func totalUnits(v *Verifier) int {
-	n := 0
-	for _, r := range v.Prog.Rules {
-		n += len(v.Sigs(r))
-	}
-	return n
 }
 
 // TestScheduledPanicContainedPerUnit is the mid-steal containment
@@ -196,134 +183,5 @@ func TestInjectedSchedulerSharedAcrossSweeps(t *testing.T) {
 	rr := verifyOnly(t, v, "iadd_base")
 	if !reflect.DeepEqual(outcomes(rr), outcomes(want[0])) {
 		t.Errorf("VerifyRule on shared pool diverged: %v vs serial %v", outcomes(rr), outcomes(want[0]))
-	}
-}
-
-// TestShardMergeReplayEquivalence runs the documented two-process
-// workflow in-process: shard 0/2 and 1/2 with separate cache stores,
-// vcache.Merge the stores, then replay the full corpus against the
-// merged cache — verdicts must be byte-identical (including rendered
-// counterexamples: each unit solves on its own session, so its model is
-// a function of the unit alone) to a plain single-process sweep.
-func TestShardMergeReplayEquivalence(t *testing.T) {
-	base := Options{Parallelism: 2}
-
-	single := buildVerifier(t, faultRules, base)
-	want, err := single.VerifyAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantUnits := totalUnits(single)
-
-	dir := t.TempDir()
-	shardDirs := []string{filepath.Join(dir, "c0"), filepath.Join(dir, "c1")}
-	owned := 0
-	for i, cdir := range shardDirs {
-		opts := base
-		opts.Cache = openCache(t, cdir)
-		opts.ShardIndex = i
-		opts.ShardCount = 2
-		v := buildVerifier(t, faultRules, opts)
-		rs, err := v.VerifyAll()
-		if err != nil {
-			t.Fatalf("shard %d: %v", i, err)
-		}
-		for _, rr := range rs {
-			owned += len(rr.Insts)
-		}
-		if err := opts.Cache.Close(); err != nil {
-			t.Fatalf("shard %d cache close: %v", i, err)
-		}
-	}
-	// The shards partition the units: each is owned (and solved) exactly
-	// once across the two processes.
-	if owned != wantUnits {
-		t.Fatalf("shards solved %d units between them, want the full corpus (%d)", owned, wantUnits)
-	}
-
-	merged := filepath.Join(dir, "merged")
-	stats, err := vcache.Merge(merged, shardDirs...)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if len(stats.Conflicts) != 0 {
-		t.Fatalf("merge found %d conflicts between disjoint shards", len(stats.Conflicts))
-	}
-	// The union must cover every distinct fingerprint. (Distinct, not
-	// total: units of different rules that monomorphize to the same VC —
-	// iadd_base and iadd_again at overlapping widths — share a content
-	// address and therefore one cache entry.)
-	keys := map[string]bool{}
-	for _, r := range single.Prog.Rules {
-		for _, sig := range single.Sigs(r) {
-			if key, ok, err := single.FingerprintInstantiation(r, sig); err != nil {
-				t.Fatal(err)
-			} else if ok {
-				keys[key] = true
-			}
-		}
-	}
-	if stats.Added != len(keys) {
-		t.Fatalf("merge added %d entries, want one per distinct fingerprint (%d)", stats.Added, len(keys))
-	}
-
-	opts := base
-	opts.Cache = openCache(t, merged)
-	replay := buildVerifier(t, faultRules, opts)
-	got, err := replay.VerifyAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := opts.Cache.Stats(); st.Misses != 0 {
-		t.Errorf("replay missed the merged cache %d times; the union is incomplete", st.Misses)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("replay returned %d rules, want %d", len(got), len(want))
-	}
-	for i := range got {
-		g, w := got[i], want[i]
-		if g.Rule.Name != w.Rule.Name || len(g.Insts) != len(w.Insts) {
-			t.Fatalf("replay rule %d = %s (%d insts), want %s (%d insts)",
-				i, g.Rule.Name, len(g.Insts), w.Rule.Name, len(w.Insts))
-		}
-		for j := range g.Insts {
-			gi, wi := g.Insts[j], w.Insts[j]
-			if gi.Outcome != wi.Outcome || gi.Sig.String() != wi.Sig.String() {
-				t.Errorf("%s unit %d: replay %v @ %s, single-process %v @ %s",
-					g.Rule.Name, j, gi.Outcome, gi.Sig, wi.Outcome, wi.Sig)
-			}
-			gc, wc := gi.Counterexample, wi.Counterexample
-			if (gc == nil) != (wc == nil) {
-				t.Errorf("%s unit %d: counterexample presence differs", g.Rule.Name, j)
-			} else if gc != nil && gc.Rendered != wc.Rendered {
-				t.Errorf("%s unit %d: rendered counterexample differs:\n%s\nvs single-process:\n%s",
-					g.Rule.Name, j, gc.Rendered, wc.Rendered)
-			}
-			if !reflect.DeepEqual(gi.DistinctInputs, wi.DistinctInputs) {
-				t.Errorf("%s unit %d: distinct verdict differs", g.Rule.Name, j)
-			}
-		}
-	}
-}
-
-// TestShardPartitionIsTotal: every unit's shard assignment is a valid
-// index, so no unit can be orphaned by the partition.
-func TestShardPartitionIsTotal(t *testing.T) {
-	v := buildVerifier(t, faultRules, Options{})
-	for _, r := range v.Prog.Rules {
-		for _, sig := range v.Sigs(r) {
-			key, ok, err := v.FingerprintInstantiation(r, sig)
-			if err != nil {
-				t.Fatalf("%s @ %s: %v", r.Name, sig, err)
-			}
-			if !ok {
-				continue
-			}
-			for n := 2; n <= 5; n++ {
-				if s := vcache.Shard(key, n); s < 0 || s >= n {
-					t.Fatalf("Shard(%q, %d) = %d out of range", key, n, s)
-				}
-			}
-		}
 	}
 }

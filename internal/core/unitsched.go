@@ -126,9 +126,6 @@ func (v *Verifier) assembleRule(ctx context.Context, rule *isle.Rule, sigs []*is
 		if s.retriedFresh {
 			rr.RetriedFresh = true
 		}
-		if s.io.Skipped {
-			continue
-		}
 		rr.Insts = append(rr.Insts, *s.io)
 	}
 	return rr, true

@@ -117,20 +117,6 @@ type Options struct {
 	// in the bit-blaster. Verdicts never change; clause and variable
 	// counts do.
 	NoStructHash bool
-	// ShardIndex/ShardCount enable sharded multi-process sweeps: when
-	// ShardCount > 1, a verification unit is solved only if its vcache
-	// content fingerprint maps to ShardIndex (units are partitioned by
-	// vcache.Shard, which is stable across processes because the
-	// fingerprint is location-independent). Foreign units are marked
-	// InstOutcome.Skipped and dropped from results; rules whose every
-	// unit is foreign are omitted from sweeps. Units that produce no
-	// fingerprint (zero type assignments) are solved by every shard —
-	// they cost only monomorphization. Run one process per shard with
-	// separate caches, union them with vcache.Merge (crocus
-	// -cache-merge), and replay the full corpus against the merged cache
-	// to get verdicts byte-identical to a single-process run.
-	ShardIndex int
-	ShardCount int
 }
 
 // Verifier verifies the rules of an ISLE program against their
@@ -234,11 +220,6 @@ type InstOutcome struct {
 	// Err carries the contained fault for OutcomeError outcomes —
 	// typically a *PanicError diagnostics bundle.
 	Err error
-	// Skipped marks a unit a sharded run (Options.ShardCount > 1) does
-	// not own: another shard solves it. Skipped outcomes are dropped
-	// from RuleResults; the field only surfaces through direct
-	// VerifyInstantiation calls.
-	Skipped bool
 }
 
 // RuleResult aggregates the per-instantiation outcomes of one rule.
@@ -363,19 +344,7 @@ func (v *Verifier) VerifyAll() ([]*RuleResult, error) {
 // together with ctx.Err(); every completed unit is already flushed to
 // the result cache, so an immediate re-run resumes from cache hits.
 func (v *Verifier) VerifyAllContext(ctx context.Context) ([]*RuleResult, error) {
-	results := v.verifyRules(ctx, v.Prog.Rules)
-	if v.Opts.ShardCount > 1 {
-		// A rule whose every unit belongs to other shards would read as
-		// "inapplicable"; it is omitted from the sweep instead.
-		kept := results[:0]
-		for _, rr := range results {
-			if len(rr.Insts) > 0 {
-				kept = append(kept, rr)
-			}
-		}
-		results = kept
-	}
-	return results, ctx.Err()
+	return v.verifyRules(ctx, v.Prog.Rules), ctx.Err()
 }
 
 // solverConfig is the per-query configuration for standalone queries
@@ -488,20 +457,7 @@ func (v *Verifier) verifyInstantiation(ctx context.Context, rule *isle.Rule, sig
 	spE.End()
 
 	cache := v.Opts.Cache
-	var key string
-	if v.Opts.ShardCount > 1 {
-		// Sharded sweep: the unit's content fingerprint decides which
-		// process owns it. Foreign units are skipped before the cache is
-		// probed, so a shard's hit/miss statistics cover only its own
-		// work.
-		key = v.fingerprint(preps)
-		if vcache.Shard(key, v.Opts.ShardCount) != v.Opts.ShardIndex {
-			io.Outcome = OutcomeInapplicable
-			io.Skipped = true
-			return io, nil
-		}
-	}
-	if cache != nil && v.replayUnit(sc, key, preps, io) {
+	if cache != nil && v.replayUnit(sc, "", preps, io) {
 		return io, nil
 	}
 

@@ -292,9 +292,8 @@ func (c *Cache) load() (corrupt int, err error) {
 }
 
 // compact atomically rewrites the store from memory (temp file +
-// rename), one line per key in sorted key order — so two compacted
-// stores with the same entries are byte-identical (the property the
-// sharded-sweep merge diff relies on).
+// rename), one line per key in sorted key order, so two compacted
+// stores with the same entries are byte-identical.
 func (c *Cache) compact() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -473,6 +472,18 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.mem)
+}
+
+// Entries returns a copy of every cached entry, sorted by key.
+func (c *Cache) Entries() []Entry {
+	c.mu.Lock()
+	out := make([]Entry, 0, len(c.mem))
+	for _, e := range c.mem {
+		out = append(out, e)
+	}
+	c.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
 }
 
 // Path returns the backing file path ("" for memory-only caches).

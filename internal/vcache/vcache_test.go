@@ -9,10 +9,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"crocus/internal/faultinject"
 )
 
 func testKey(i int) string {
 	return Fingerprint("test", []string{fmt.Sprintf("unit-%d", i)})
+}
+
+func put(t *testing.T, c *Cache, e Entry) {
+	t.Helper()
+	if err := c.Put(e); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestFingerprintSectionFraming(t *testing.T) {
@@ -267,5 +276,98 @@ func TestStatsStringDegradationLine(t *testing.T) {
 	line = s.String()
 	if !strings.Contains(line, "3 undecodable entries re-solved") {
 		t.Fatalf("degraded stats line missing suffix: %q", line)
+	}
+}
+
+func TestEntriesSorted(t *testing.T) {
+	c := NewMemory()
+	for _, i := range []int{3, 1, 2} {
+		put(t, c, Entry{Key: testKey(i), Outcome: "success"})
+	}
+	es := c.Entries()
+	if len(es) != 3 {
+		t.Fatalf("got %d entries", len(es))
+	}
+	for i := 1; i < len(es); i++ {
+		if es[i-1].Key >= es[i].Key {
+			t.Fatalf("entries not sorted: %s >= %s", es[i-1].Key[:8], es[i].Key[:8])
+		}
+	}
+}
+
+// TestTornAppendsNeverFlipVerdicts is the chaos invariant for the append
+// seam: with corrupt faults tearing a fraction of the appends, a
+// reopened store must, for every key, either miss (the torn line healed
+// away) or return the exact original outcome. Putting the entries again
+// restores full coverage. Injected corruption may lose entries, never
+// rewrite verdicts.
+func TestTornAppendsNeverFlipVerdicts(t *testing.T) {
+	dir := t.TempDir()
+	want := map[string]string{}
+	entries := make([]Entry, 40)
+	for i := range entries {
+		outcome := "success"
+		if i%3 == 0 {
+			outcome = "failure"
+		}
+		entries[i] = Entry{Key: testKey(i), Rule: fmt.Sprintf("rule-%d", i), Outcome: outcome}
+		want[entries[i].Key] = outcome
+	}
+
+	// Half the appends tear mid-line. The writer cannot see the damage:
+	// a torn write looks complete to it, as with a real crash.
+	c, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faultinject.Arm("vcache.append=corrupt:0.5,seed=11"); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		put(t, c, e)
+	}
+	closeErr := c.Close()
+	faultinject.Reset()
+	if closeErr != nil {
+		t.Fatal(closeErr)
+	}
+
+	c, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	survivors := 0
+	for key, outcome := range want {
+		e, st := c.Lookup(key, 0)
+		if st == Miss {
+			continue // torn away: lost, which is safe
+		}
+		if e.Outcome != outcome {
+			t.Fatalf("key %s: outcome %q after torn appends, want %q: corruption flipped a verdict", key[:12], e.Outcome, outcome)
+		}
+		survivors++
+	}
+	if survivors == 0 || survivors == len(want) {
+		t.Fatalf("%d of %d entries survived; the test needs both torn and intact entries", survivors, len(want))
+	}
+	t.Logf("%d of %d entries survived the torn appends", survivors, len(want))
+
+	// Healing: putting every entry again cleanly restores the lost ones.
+	for _, e := range entries {
+		put(t, c, e)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for key, outcome := range want {
+		e, st := c.Lookup(key, 0)
+		if st != Hit || e.Outcome != outcome {
+			t.Fatalf("key %s: %v/%q after healing puts, want Hit/%q", key[:12], st, e.Outcome, outcome)
+		}
 	}
 }
