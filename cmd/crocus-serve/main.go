@@ -57,7 +57,7 @@ func main() {
 	addr := flag.String("addr", "localhost:8742", "listen address")
 	corpora := flag.String("corpora", "aarch64,x64,midend", "comma-separated resident corpora to load at startup")
 	cacheDir := flag.String("cache-dir", "", "persist verification results under this directory (JSONL tier); empty keeps the cache in memory only")
-	maxInflight := flag.Int("max-inflight", 0, "bound on concurrently solving requests; replays take no slot (0 = GOMAXPROCS)")
+	maxInflight := flag.Int("max-inflight", 0, "bound on concurrently solving requests; replays take no slot (0 = all CPUs)")
 	queueTimeout := flag.Duration("queue-timeout", 30*time.Second, "max wait for a worker slot before replying 429 with Retry-After")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max graceful drain before in-flight requests are canceled")
 	timeout := flag.Duration("timeout", 5*time.Second, "default per-unit solver deadline")

@@ -112,7 +112,7 @@ var (
 	corpusName    = flag.String("corpus", "aarch64", "embedded corpus: aarch64, x64, midend, or bug:<id>")
 	custom        = flag.Bool("custom-vc", false, "apply the corpus's custom verification conditions")
 	overlap       = flag.Bool("overlap", false, "run the multi-rule overlap/priority analysis instead of verification")
-	parallel      = flag.Int("parallel", 1, "concurrent verification workers scheduling (rule, instantiation) units work-stealingly (1 = one worker, <= 0 = all CPUs)")
+	parallel      = flag.Int("parallel", 1, "concurrent verification workers taking (rule, instantiation) units from one queue in source order (1 = one worker, <= 0 = all CPUs)")
 	stats         = flag.Bool("stats", false, "print cumulative SAT statistics (propagations/conflicts/decisions/queries) per rule")
 	cacheDir      = flag.String("cache-dir", "", "persist verification results under this directory and replay them on re-runs (incremental verification)")
 	budget        = flag.Int64("propagation-budget", 0, "deterministic SAT propagation budget per unit (0 = unlimited)")
@@ -158,6 +158,11 @@ func main() {
 	ladder, err := parseBudgets(*budget, *retryBudgets)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "crocus:", err)
+		os.Exit(1)
+	}
+	if *overlap && *ruleName != "" {
+		// The overlap analysis covers every rule pair of the program.
+		fmt.Fprintln(os.Stderr, "crocus: -rule applies to verification, not -overlap")
 		os.Exit(1)
 	}
 

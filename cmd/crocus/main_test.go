@@ -94,6 +94,22 @@ func TestUnknownRuleFails(t *testing.T) {
 	}
 }
 
+// TestOverlapRefusesRule: the overlap analysis covers every rule pair,
+// so -rule with -overlap is refused before any work instead of being
+// silently ignored.
+func TestOverlapRefusesRule(t *testing.T) {
+	out, errOut, code := runCrocus(t, "-corpus", "midend", "-overlap", "-rule", "no_such_rule")
+	if code != 1 {
+		t.Fatalf("exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut, "crocus: -rule applies to verification, not -overlap") {
+		t.Fatalf("stderr does not name -rule:\n%s", errOut)
+	}
+	if out != "" {
+		t.Fatalf("stdout is not empty:\n%s", out)
+	}
+}
+
 func TestParseBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		base    int64

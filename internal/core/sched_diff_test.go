@@ -3,8 +3,8 @@ package core_test
 // Scheduling-independence tests: every verification unit solves on its
 // own builder and session, so a unit's result is a function of the unit
 // alone. A one-worker sweep (Parallelism 1) and a four-worker sweep
-// (Parallelism 4, work stealing) must therefore agree exactly on every
-// unit, timeouts included: outcome,
+// (Parallelism 4, four workers taking units from one queue) must
+// therefore agree exactly on every unit, timeouts included: outcome,
 // distinct-models verdict, rendered counterexample bytes, and the SAT
 // work of every query (SolverStats). Budgets are propagation counts,
 // never the wall clock, so the comparison is machine-independent.

@@ -1,9 +1,9 @@
 package core
 
 // Tests for the unit-scheduled sweep path: per-unit fault containment
-// when a panic strikes on whichever worker (owner or thief) executes the
-// unit, cancellation mid-sweep, and an injected shared scheduler (the
-// daemon configuration).
+// when a panic strikes on whichever worker executes the unit,
+// cancellation mid-sweep, and an injected shared scheduler (the daemon
+// configuration).
 
 import (
 	"context"
@@ -29,9 +29,9 @@ func atomicPanicVC() (*CustomVC, *atomic.Int64) {
 	}, &calls
 }
 
-// TestScheduledPanicContainedPerUnit is the mid-steal containment
+// TestScheduledPanicContainedPerUnit is the multi-worker containment
 // differential (race-gated by running under -race in CI): a rule whose
-// every unit panics — on whichever worker the steal landed it — must
+// every unit panics — on whichever worker took it from the queue — must
 // degrade to OutcomeError per unit, while every other rule's verdicts
 // stay byte-identical to a serial clean sweep.
 func TestScheduledPanicContainedPerUnit(t *testing.T) {
@@ -48,7 +48,7 @@ func TestScheduledPanicContainedPerUnit(t *testing.T) {
 	})
 	units := len(faulted.Sigs(faulted.Prog.Rules[0]))
 	if units < 2 {
-		t.Fatalf("iadd_base expands to %d units; the mid-steal test needs several", units)
+		t.Fatalf("iadd_base expands to %d units; the multi-worker test needs several", units)
 	}
 	faultRes, err := faulted.VerifyAllContext(context.Background())
 	if err != nil {

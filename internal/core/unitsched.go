@@ -3,7 +3,7 @@ package core
 // Unit-level scheduling: every entry point (VerifyAllContext,
 // VerifyRuleContext, VerifyRuleContained) decomposes its rules into
 // verification units — one (rule, type instantiation) solve — and runs
-// them on a work-stealing pool (internal/sched): Options.Scheduler when
+// them on a FIFO worker pool (internal/sched): Options.Scheduler when
 // injected, else a transient pool of Options.Parallelism workers. Every
 // unit owns its builder and solver session (see verifyInstantiation), so
 // which worker runs a unit never changes its verdict. This file holds
@@ -13,7 +13,7 @@ package core
 //     recovered, one retry on a new session, persisting faults degrade
 //     to OutcomeError for that unit only.
 //   - assembly: results are assembled in source order from per-slot
-//     writes, so scheduling and stealing order never leak into output.
+//     writes, so scheduling order never leaks into output.
 //   - tracing: each unit's root span is sched.unit, scoped by rule.
 
 import (
@@ -78,8 +78,7 @@ func (v *Verifier) verifyUnitContained(ctx context.Context, rule *isle.Rule, sig
 
 // workerName labels a pool worker's trace lane. Stable names plus
 // obs.WithNamedThread give every worker one lane for the whole run;
-// a stolen unit's spans land on the lane of the worker that executed
-// it.
+// a unit's spans land on the lane of the worker that executed it.
 func workerName(w int) string { return fmt.Sprintf("worker-%d", w) }
 
 // unitTask builds the closure that verifies one unit and writes its
@@ -149,9 +148,6 @@ func (v *Verifier) verifyRules(ctx context.Context, rules []*isle.Rule) []*RuleR
 	if pool := v.Opts.Scheduler; pool != nil {
 		pool.RunBatch(tasks)
 	} else {
-		// Close the transient pool the moment its batch is done: its
-		// idle workers are still in their first spins then, before the
-		// backoff's timed sleeps, which Close would have to wait out.
 		pool = sched.NewPool(min(max(v.Opts.Parallelism, 1), len(tasks)), obs.Get(ctx).Registry())
 		pool.RunBatch(tasks)
 		pool.Close()

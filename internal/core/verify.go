@@ -90,14 +90,14 @@ type Options struct {
 	DistinctModels bool
 	// Custom maps rule names to custom verification conditions.
 	Custom map[string]*CustomVC
-	// Parallelism sizes the transient work-stealing pool (internal/sched)
+	// Parallelism sizes the transient FIFO worker pool (internal/sched)
 	// that verification runs its units on when no Scheduler is injected:
 	// min(Parallelism, units) workers, at least one (0 or 1 = one
 	// worker). The unit of scheduling is one (rule, type instantiation)
 	// solve, so one timeout-tail rule no longer serializes a sweep;
 	// results keep source order regardless of execution order. The CLIs
-	// and the daemon normalize values <= 0 to runtime.NumCPU() before
-	// constructing Options.
+	// normalize values <= 0 to runtime.NumCPU() before constructing
+	// Options; the daemon leaves Parallelism unset and injects Scheduler.
 	Parallelism int
 	// Cache enables the incremental-verification result cache
 	// (internal/vcache): verification units whose content fingerprint is
@@ -106,7 +106,7 @@ type Options struct {
 	// lifetime belongs to the caller (vcache.Open, then Close), so one
 	// store can serve several verifiers in a run.
 	Cache *vcache.Cache
-	// Scheduler injects a shared work-stealing pool to run verification
+	// Scheduler injects a shared FIFO worker pool to run verification
 	// units on instead of a per-sweep transient pool — long-running
 	// hosts (crocus-serve) size one pool at admission capacity and
 	// schedule every request's units onto it, so -max-inflight admission

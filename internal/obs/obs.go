@@ -361,9 +361,9 @@ func WithThread(ctx context.Context, name string) context.Context {
 
 // WithNamedThread is WithThread with a stable identity: every call with
 // the same name on the same tracer lands on the same logical thread.
-// The work-stealing scheduler uses it so a unit's spans appear on the
-// lane of the worker that actually executed it (including after a
-// steal), not the one that enqueued it. No-op without a tracer.
+// The unit scheduler uses it so a unit's spans appear on the lane of
+// the worker that actually executed it, not the goroutine that
+// enqueued it. No-op without a tracer.
 func WithNamedThread(ctx context.Context, name string) context.Context {
 	sc := Get(ctx)
 	if sc == nil {

@@ -1,25 +1,24 @@
-// Package sched is the verification engine's work-stealing scheduler.
+// Package sched is the verification engine's unit scheduler: a fixed
+// set of workers taking tasks from one FIFO queue.
 //
 // The unit of scheduling is a verification unit — one (rule, type
 // instantiation) solve attempt — rather than a whole rule. Rule-level
 // partitioning lets one timeout-tail rule serialize a sweep while other
 // workers idle (the paper's §4.1 mul/div/popcnt tail); unit granularity
-// keeps every worker busy until the global tail, and work stealing
-// rebalances the tail itself.
+// keeps every worker busy until the global tail, because an idle worker
+// takes the next unit whichever rule it belongs to.
 //
 // Design:
 //
-//   - Each worker owns a deque of tasks. The owner pops from the front
-//     (submission order, so cache-friendly rule runs stay contiguous);
-//     a worker whose deque is empty steals a contiguous block of up to
-//     half the richest victim's tasks from the back.
+//   - One queue, in submission order: units start in the order they
+//     were submitted at every worker count, and a batch queues whole
+//     behind the batches submitted before it.
 //   - Tasks cost milliseconds to seconds (SMT solves); mutex operations
-//     cost nanoseconds. One pool-wide mutex therefore costs nothing
-//     measurable and makes the submit/steal/close races trivially
-//     airtight — per-deque CAS juggling would buy no wall time here.
-//   - An idle worker backs off in stages before parking: a few
-//     runtime.Gosched spins, then doubling microsecond sleeps, then a
-//     condition-variable wait. Submission broadcasts.
+//     cost nanoseconds. One pool-wide mutex and condition variable
+//     therefore cost nothing measurable and make the submit/take/close
+//     races trivially airtight.
+//   - An idle worker parks on the condition variable; a submission
+//     broadcasts, so a new batch wakes parked workers at once.
 //   - RunBatch on a closed pool degrades to inline execution on the
 //     caller (worker index 0), so shutdown races lose work never.
 //
@@ -30,11 +29,8 @@
 package sched
 
 import (
-	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crocus/internal/faultinject"
 	"crocus/internal/obs"
@@ -45,54 +41,36 @@ import (
 // trace lanes — without locking: a worker executes its tasks serially.
 type Task func(worker int)
 
-// Pool is a work-stealing worker pool. All methods are safe for
-// concurrent use; a Pool is shared between concurrent RunBatch callers
-// (the daemon schedules every request's units onto one pool).
+// Pool is a FIFO worker pool. All methods are safe for concurrent use;
+// a Pool is shared between concurrent RunBatch callers (the daemon
+// schedules every request's units onto one pool).
 type Pool struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	deques  [][]Task
+	queue   []Task // submitted tasks not yet started, oldest first
 	closed  bool
-	queued  int64 // tasks currently enqueued across all deques
 	wg      sync.WaitGroup
 	workers int
 
 	// Stats (atomics: read without the pool lock).
-	steals   atomic.Int64 // steal operations
-	stolen   atomic.Int64 // tasks moved by steals
 	executed []atomic.Int64
 	inline   atomic.Int64 // tasks run inline after close
 	panics   atomic.Int64 // panics swallowed by the execute backstop
 
 	// Optional metrics registry; nil-safe (obs no-op handles).
-	cSteals *obs.Counter
-	cStolen *obs.Counter
-	cUnits  *obs.Counter
+	cUnits *obs.Counter
 }
 
-// backoff tuning: spin a little, sleep a little, then park. The sleep
-// ceiling keeps the worst-case wakeup latency well under any task's
-// runtime while avoiding thundering broadcasts on an idle pool.
-const (
-	spinPhase  = 2
-	sleepPhase = 6
-	sleepBase  = time.Microsecond
-	sleepCap   = 64 * time.Microsecond
-)
-
 // NewPool starts a pool of n workers (n < 1 is raised to 1). The
-// registry, when non-nil, receives sched.steals / sched.stolen_units /
-// sched.units counters; per-worker unit counts are in Stats.
+// registry, when non-nil, receives the sched.units counter; per-worker
+// unit counts are in Stats.
 func NewPool(n int, reg *obs.Registry) *Pool {
 	if n < 1 {
 		n = 1
 	}
 	p := &Pool{
-		deques:   make([][]Task, n),
 		workers:  n,
 		executed: make([]atomic.Int64, n),
-		cSteals:  reg.Counter("sched.steals"),
-		cStolen:  reg.Counter("sched.stolen_units"),
 		cUnits:   reg.Counter("sched.units"),
 	}
 	p.cond = sync.NewCond(&p.mu)
@@ -103,15 +81,10 @@ func NewPool(n int, reg *obs.Registry) *Pool {
 	return p
 }
 
-// Workers returns the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
 // Stats is a point-in-time reading of the pool's counters.
 type Stats struct {
 	Workers    int     `json:"workers"`
 	QueueDepth int64   `json:"queue_depth"`
-	Steals     int64   `json:"steals"`
-	Stolen     int64   `json:"stolen_units"`
 	Executed   int64   `json:"units"`
 	PerWorker  []int64 `json:"units_per_worker"`
 	Inline     int64   `json:"inline_units,omitempty"`
@@ -120,14 +93,9 @@ type Stats struct {
 
 // Stats reads the pool's counters.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	depth := p.queued
-	p.mu.Unlock()
 	s := Stats{
 		Workers:    p.workers,
-		QueueDepth: depth,
-		Steals:     p.steals.Load(),
-		Stolen:     p.stolen.Load(),
+		QueueDepth: p.QueueDepth(),
 		Inline:     p.inline.Load(),
 		Panics:     p.panics.Load(),
 		PerWorker:  make([]int64, p.workers),
@@ -145,15 +113,13 @@ func (p *Pool) Stats() Stats {
 func (p *Pool) QueueDepth() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.queued
+	return int64(len(p.queue))
 }
 
 // RunBatch schedules the tasks and blocks until all of them have
-// finished. Tasks are distributed across worker deques as contiguous
-// blocks in slice order, so with no stealing each worker executes an
-// in-order span — and stealing moves back-of-deque blocks, preserving
-// locality at the front. On a closed pool the batch runs inline on the
-// calling goroutine (worker index 0) instead of being dropped.
+// finished. The tasks join the back of the queue in slice order, so
+// they start in that order. On a closed pool the batch runs inline on
+// the calling goroutine (worker index 0) instead of being dropped.
 //
 // A task that panics is contained by the pool (counted in
 // Stats.Panics); the batch still completes. Callers that need fault
@@ -166,7 +132,6 @@ func (p *Pool) RunBatch(tasks []Task) {
 	wg.Add(len(tasks))
 	wrapped := make([]Task, len(tasks))
 	for i, t := range tasks {
-		t := t
 		wrapped[i] = func(w int) {
 			defer wg.Done()
 			// Chaos failpoint per scheduled unit. Placed after the Done defer
@@ -195,26 +160,12 @@ func (p *Pool) RunBatch(tasks []Task) {
 // closed (the caller then runs them inline).
 func (p *Pool) submit(tasks []Task) bool {
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if p.closed {
-		p.mu.Unlock()
 		return false
 	}
-	n := p.workers
-	per := (len(tasks) + n - 1) / n
-	for w := 0; w < n; w++ {
-		lo := w * per
-		if lo >= len(tasks) {
-			break
-		}
-		hi := lo + per
-		if hi > len(tasks) {
-			hi = len(tasks)
-		}
-		p.deques[w] = append(p.deques[w], tasks[lo:hi]...)
-	}
-	p.queued += int64(len(tasks))
+	p.queue = append(p.queue, tasks...)
 	p.cond.Broadcast()
-	p.mu.Unlock()
 	return true
 }
 
@@ -223,98 +174,31 @@ func (p *Pool) submit(tasks []Task) bool {
 // execution; closing twice is a no-op.
 func (p *Pool) Close() {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		p.wg.Wait()
-		return
-	}
 	p.closed = true
 	p.cond.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
 }
 
-// run is one worker's loop: take (own front, else steal), execute,
-// repeat; exit when the pool is closed and every deque is empty.
+// run is one worker's loop: take the front task, parking while the
+// queue is empty; exit once the pool is closed and the queue drained.
 func (p *Pool) run(w int) {
 	defer p.wg.Done()
-	spins := 0
-	backoff := sleepBase
 	for {
 		p.mu.Lock()
-		t := p.takeLocked(w)
-		if t == nil && spins >= spinPhase+sleepPhase {
-			// Fully backed off: park until submit or Close broadcasts.
-			for t == nil && !p.closed {
-				p.cond.Wait()
-				t = p.takeLocked(w)
-			}
+		for len(p.queue) == 0 && !p.closed {
+			p.cond.Wait()
 		}
-		closed := p.closed
-		p.mu.Unlock()
-
-		if t != nil {
-			spins, backoff = 0, sleepBase
-			p.execute(w, t)
-			continue
-		}
-		if closed {
-			// takeLocked scans every deque, so an empty take under closed
-			// means the whole queue is drained.
+		if len(p.queue) == 0 {
+			p.mu.Unlock()
 			return
 		}
-		// Bounded steal-backoff: brief spins catch work submitted
-		// microseconds from now without a sleep/wake cycle; the doubling
-		// sleeps cover bursty gaps; then the worker parks above.
-		spins++
-		if spins <= spinPhase {
-			runtime.Gosched()
-		} else {
-			time.Sleep(backoff)
-			if backoff < sleepCap {
-				backoff *= 2
-			}
-		}
+		t := p.queue[0]
+		p.queue[0] = nil // the backing array must not keep a finished task alive
+		p.queue = p.queue[1:]
+		p.mu.Unlock()
+		p.execute(w, t)
 	}
-}
-
-// takeLocked removes and returns the next task for worker w: the front
-// of its own deque, else a steal. The caller holds p.mu; nil means every
-// deque is empty.
-func (p *Pool) takeLocked(w int) Task {
-	if d := p.deques[w]; len(d) > 0 {
-		t := d[0]
-		d[0] = nil
-		p.deques[w] = d[1:]
-		p.queued--
-		return t
-	}
-	// Steal from the richest victim (deterministic tie-break: lowest
-	// index), taking a contiguous block of up to half its tasks from the
-	// back. The victim keeps its front — the oldest work it is about to
-	// reach — and the thief gets a block, not a single task, so a long
-	// tail rebalances in O(log) steals instead of one lock op per unit.
-	victim, best := -1, 0
-	for i := range p.deques {
-		if i != w && len(p.deques[i]) > best {
-			victim, best = i, len(p.deques[i])
-		}
-	}
-	if victim < 0 {
-		return nil
-	}
-	q := p.deques[victim]
-	k := (len(q) + 1) / 2
-	block := q[len(q)-k:]
-	p.deques[victim] = q[: len(q)-k : len(q)-k]
-	t := block[0]
-	p.deques[w] = append(p.deques[w], block[1:]...)
-	p.queued--
-	p.steals.Add(1)
-	p.stolen.Add(int64(k))
-	p.cSteals.Inc()
-	p.cStolen.Add(int64(k))
-	return t
 }
 
 // execute runs one task on worker w, counting it.
@@ -335,10 +219,4 @@ func (p *Pool) protect(w int, t Task) {
 		}
 	}()
 	t(w)
-}
-
-// String renders the stats in one line (debug logging).
-func (s Stats) String() string {
-	return fmt.Sprintf("workers=%d depth=%d steals=%d stolen=%d units=%d",
-		s.Workers, s.QueueDepth, s.Steals, s.Stolen, s.Executed)
 }

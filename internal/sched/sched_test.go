@@ -37,9 +37,9 @@ func TestRunBatchRunsEveryTaskOnce(t *testing.T) {
 	}
 }
 
-// A skewed batch — one long task at the front of worker 0's block, the
-// rest short — must end up rebalanced: with blocks distributed
-// contiguously, the idle workers can only finish the batch by stealing.
+// A skewed batch — one long task at the front, the rest short — must
+// not stall behind it: while the blocker holds one worker, the others
+// take every short task from the queue.
 func TestStealingRebalancesSkew(t *testing.T) {
 	p := NewPool(4, nil)
 	defer p.Close()
@@ -54,8 +54,7 @@ func TestStealingRebalancesSkew(t *testing.T) {
 	done := make(chan struct{})
 	go func() { p.RunBatch(tasks); close(done) }()
 
-	// All short tasks — including worker 0's block queued behind the
-	// blocker — must finish while the blocker still runs.
+	// All short tasks must finish while the blocker still runs.
 	deadline := time.After(10 * time.Second)
 	for short.Load() != n-1 {
 		select {
@@ -64,11 +63,63 @@ func TestStealingRebalancesSkew(t *testing.T) {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	if s := p.Stats(); s.Steals == 0 {
-		t.Fatalf("skewed batch finished without stealing: %+v", s)
-	}
 	close(block)
 	<-done
+}
+
+// Units start in submission order at every worker count: with every
+// task blocking until released and one running task released at a
+// time, the set of started tasks is always a prefix of the batch.
+func TestStartsFollowSubmissionOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := NewPool(workers, nil)
+		const n = 16
+		started := make(chan int, n)
+		release := make(chan struct{})
+		tasks := make([]Task, n)
+		for i := range tasks {
+			tasks[i] = func(int) { started <- i; <-release }
+		}
+		done := make(chan struct{})
+		go func() { p.RunBatch(tasks); close(done) }()
+
+		var seen [n]bool
+		count := 0
+		// await receives k starts, then checks that the tasks started so
+		// far are exactly the first count of the batch.
+		await := func(k int) {
+			for ; k > 0; k-- {
+				select {
+				case i := <-started:
+					seen[i] = true
+					count++
+				case <-time.After(10 * time.Second):
+					t.Fatalf("workers=%d: stalled after %d starts", workers, count)
+				}
+			}
+			for i := 0; i < count; i++ {
+				if !seen[i] {
+					t.Fatalf("workers=%d: %d tasks started but task %d did not: %v",
+						workers, count, i, seen)
+				}
+			}
+		}
+		// The first min(workers, n) tasks start concurrently; after that,
+		// each release frees one worker, which starts exactly one more.
+		await(min(workers, n))
+		for released := 0; released < n; released++ {
+			select {
+			case release <- struct{}{}:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("workers=%d: no running task after %d releases", workers, released)
+			}
+			if count < n {
+				await(1)
+			}
+		}
+		<-done
+		p.Close()
+	}
 }
 
 // Per-worker counts sum to the total, and units land on more than one
@@ -196,28 +247,15 @@ func TestObsCounters(t *testing.T) {
 	p := NewPool(3, reg)
 	defer p.Close()
 	const n = 120
-	block := make(chan struct{})
 	tasks := make([]Task, n)
-	tasks[0] = func(int) { <-block }
-	for i := 1; i < n; i++ {
-		tasks[i] = func(int) { time.Sleep(50 * time.Microsecond) }
+	for i := range tasks {
+		tasks[i] = func(int) {}
 	}
-	go func() {
-		// Let the steal happen, then release.
-		for p.Stats().Steals == 0 && p.Stats().QueueDepth > 0 {
-			time.Sleep(time.Millisecond)
-		}
-		close(block)
-	}()
 	p.RunBatch(tasks)
 	s := p.Stats()
 	c := reg.Counters()
-	if c["sched.units"] != s.Executed {
-		t.Fatalf("sched.units=%d, stats executed=%d", c["sched.units"], s.Executed)
-	}
-	if c["sched.steals"] != s.Steals || c["sched.stolen_units"] != s.Stolen {
-		t.Fatalf("steal counters diverge: obs steals=%d stolen=%d, stats %+v",
-			c["sched.steals"], c["sched.stolen_units"], s)
+	if c["sched.units"] != s.Executed || s.Executed != n {
+		t.Fatalf("sched.units=%d, stats executed=%d, want %d", c["sched.units"], s.Executed, n)
 	}
 }
 

@@ -39,7 +39,7 @@ type Config struct {
 	CacheDir string
 
 	// MaxInflight bounds concurrently solving requests and sizes the
-	// shared work-stealing pool their verification units run on —
+	// shared FIFO worker pool their verification units run on —
 	// admission and unit scheduling share one queue. Further requests
 	// queue; a replay from the vcache takes no slot. 0 means
 	// runtime.NumCPU().
@@ -122,7 +122,7 @@ type Server struct {
 	cancelBase context.CancelFunc
 
 	slots chan struct{} // admission semaphore (request-level)
-	pool  *sched.Pool   // work-stealing pool verification units run on
+	pool  *sched.Pool   // FIFO worker pool verification units run on
 
 	draining  atomic.Bool
 	drainOnce sync.Once
@@ -510,8 +510,8 @@ type StatusReport struct {
 	Histograms  map[string]HistogramSummary `json:"histograms"`
 	CacheLen    int                         `json:"cache_len"`
 	Cache       vcache.Stats                `json:"cache"`
-	// Sched is the shared unit scheduler's live state: real queue depth,
-	// steal counts, and per-worker unit totals.
+	// Sched is the shared unit scheduler's live state: real queue depth
+	// and per-worker unit totals.
 	Sched sched.Stats `json:"sched"`
 	// Watermarks are the per-request resource high-water marks.
 	Watermarks Watermarks `json:"watermarks"`
